@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Rebuild-throughput benchmark for the shared-memory stripe pipeline.
+"""Rebuild-throughput benchmark for the chunked rebuild pipeline.
 
-Rebuilds a failed physical disk of a rotated array image three ways and
+Rebuilds a failed physical disk of a rotated array image two ways and
 records MB/s for each:
 
-* ``stripe_loop`` — the per-stripe single-process engine the repo shipped
-  before :mod:`repro.pipeline` existed (gather one stripe,
-  ``execute_scheme``, patch);
-* ``batch`` — the single-process chunked
-  :class:`~repro.codec.batch.BatchReconstructor` path (``workers=1``);
-* ``pipeline`` — the multi-process shared-memory pipeline at each worker
-  count in ``--workers``.
+* ``stripe_loop`` — the per-stripe engine the repo shipped before
+  :mod:`repro.pipeline` existed (gather one stripe, ``execute_scheme``,
+  patch), kept as the equivalence oracle;
+* ``batch`` — the chunked :class:`~repro.codec.batch.BatchReconstructor`
+  path every rebuild runs.
 
 Every grid point is verified byte-identical against the original disk
 image before its timing is recorded; a mismatch aborts the run.  A second
@@ -21,25 +19,20 @@ section times scheme *planning* against a cold and a warm persistent
 Results land in ``BENCH_rebuild.json`` at the repo root::
 
     {
-      "config":   {"grid": [...], "workers": [...], "chunk_stripes": ...,
-                   "repeats": ..., "cpu_count": ...},
+      "config":   {"grid": [...], "chunk_stripes": ..., "repeats": ...,
+                   "cpu_count": ...},
       "points":   [{"family", "n_disks", "element_size", "n_stripes",
                     "failed_disk", "disk_mb", "stripe_loop_mb_s",
-                    "batch_mb_s", "pipeline_mb_s": {"2": ..., "4": ...},
-                    "byte_identical": true}, ...],
+                    "batch_mb_s", "byte_identical": true}, ...],
       "speedup":  {"batch_vs_stripe_loop_geomean": ...,
-                   "best_vs_stripe_loop_geomean": ...,
-                   "pipeline_vs_batch": {"2": ..., "4": ...}},
+                   "best_vs_stripe_loop_geomean": ...},
       "plan_cache": {"cold_plan_s": ..., "warm_plan_s": ...,
                      "speedup": ..., "warm_expanded_states": 0,
                      "warm_cache_hits": ...}
     }
 
-Parallel speedup is hardware-bound: the worker sweep only beats the
-single-process batch path when ``cpu_count`` gives the workers somewhere
-to run (the recorded value qualifies every reading).  The speedup floor
-asserted by ``--check`` is therefore the single-machine one: the best
-rebuild path must be >= 2.5x the per-stripe engine.
+``--check`` asserts the speedup floor: the best rebuild path must be
+>= 2.5x the per-stripe engine.
 
 Usage::
 
@@ -105,7 +98,6 @@ def measure_point(
     element_size: int,
     n_stripes: int,
     failed_disk: int,
-    workers: List[int],
     chunk_stripes: int,
     repeats: int,
     verbose: bool,
@@ -118,15 +110,14 @@ def measure_point(
     planner = RecoveryPlanner(code, algorithm="u", depth=1)
     planner.all_disk_schemes()  # plan once up front; we time the data plane
 
-    def run(w: int, use_batch: bool = True) -> float:
-        pipe = RebuildPipeline(
-            codec, workers=w, chunk_stripes=chunk_stripes, planner=planner
-        )
+    pipe = RebuildPipeline(codec, chunk_stripes=chunk_stripes, planner=planner)
+
+    def run(use_batch: bool = True) -> float:
         result = pipe.rebuild(disks, failed_disk, use_batch=use_batch)
         if not np.array_equal(result.image, original):
             raise AssertionError(
                 f"rebuild mismatch: {family}@{n_disks} esz={element_size} "
-                f"workers={w} use_batch={use_batch}"
+                f"use_batch={use_batch}"
             )
         return result.stats["rebuilt_mb_s"]
 
@@ -137,21 +128,15 @@ def measure_point(
         "n_stripes": n_stripes,
         "failed_disk": failed_disk,
         "disk_mb": original.nbytes / 2**20,
-        "stripe_loop_mb_s": _best_of(lambda: run(1, use_batch=False), repeats),
-        "batch_mb_s": _best_of(lambda: run(1), repeats),
-        "pipeline_mb_s": {
-            str(w): _best_of(lambda: run(w), repeats) for w in workers
-        },
+        "stripe_loop_mb_s": _best_of(lambda: run(use_batch=False), repeats),
+        "batch_mb_s": _best_of(run, repeats),
         "byte_identical": True,  # every run above asserted it
     }
     if verbose:
-        pipes = " ".join(
-            f"{w}w={v:7.1f}" for w, v in point["pipeline_mb_s"].items()
-        )
         print(
             f"  {family:10s} n={n_disks:2d} esz={element_size:5d} "
             f"stripe_loop={point['stripe_loop_mb_s']:7.1f} "
-            f"batch={point['batch_mb_s']:7.1f} {pipes} MB/s"
+            f"batch={point['batch_mb_s']:7.1f} MB/s"
         )
     return point
 
@@ -209,8 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="small CI grid")
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--workers", default="2,4",
-                    help="comma-separated pipeline worker counts")
     ap.add_argument("--chunk-stripes", type=int, default=64)
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_rebuild.json"))
     ap.add_argument("--plan-cache-store", default="/tmp/bench_plan_cache.json")
@@ -220,21 +203,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
 
     grid = QUICK_GRID if args.quick else FULL_GRID
-    workers = [int(w) for w in args.workers.split(",") if w]
     verbose = not args.quiet
 
     if verbose:
         print(f"rebuild throughput grid ({len(grid)} points, "
               f"cpu_count={os.cpu_count()}):")
     points = [
-        measure_point(*spec, workers=workers,
-                      chunk_stripes=args.chunk_stripes,
+        measure_point(*spec, chunk_stripes=args.chunk_stripes,
                       repeats=args.repeats, verbose=verbose)
         for spec in grid
     ]
 
     def best(p: Dict) -> float:
-        return max(p["batch_mb_s"], *p["pipeline_mb_s"].values())
+        return max(p["batch_mb_s"], p["stripe_loop_mb_s"])
 
     speedup = {
         "batch_vs_stripe_loop_geomean": _geomean(
@@ -243,12 +224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "best_vs_stripe_loop_geomean": _geomean(
             [best(p) / p["stripe_loop_mb_s"] for p in points]
         ),
-        "pipeline_vs_batch": {
-            str(w): _geomean(
-                [p["pipeline_mb_s"][str(w)] / p["batch_mb_s"] for p in points]
-            )
-            for w in workers
-        },
     }
 
     fam, n = grid[0][0], grid[0][1]
@@ -257,7 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = {
         "config": {
             "grid": [list(g) for g in grid],
-            "workers": workers,
             "chunk_stripes": args.chunk_stripes,
             "repeats": args.repeats,
             "cpu_count": os.cpu_count(),
@@ -273,9 +247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("speedup: batch/stripe_loop "
               f"{speedup['batch_vs_stripe_loop_geomean']:.2f}x, "
               f"best/stripe_loop {speedup['best_vs_stripe_loop_geomean']:.2f}x")
-        pv = ", ".join(f"{w}w {v:.2f}x"
-                       for w, v in speedup["pipeline_vs_batch"].items())
-        print(f"         pipeline/batch {pv} (cpu_count={os.cpu_count()})")
         print(f"plan cache: cold {plan_cache['cold_plan_s'] * 1e3:.1f} ms "
               f"({plan_cache['cold_expanded_states']} states) -> warm "
               f"{plan_cache['warm_plan_s'] * 1e3:.1f} ms "

@@ -183,7 +183,6 @@ def _serve_once(
         engine,
         request_lists,
         expected=original,
-        rebuild_workers=args.workers,
         chunk_stripes=args.chunk_stripes,
         settle_reads=args.settle_reads,
         pace=True,
@@ -621,8 +620,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="requests per client sequence (cycled closed-loop)")
     ap.add_argument("--client-rate", type=float, default=300.0,
                     help="per-client offered request rate (paced replay)")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="rebuild pipeline workers (0 = inline)")
     ap.add_argument("--chunk-stripes", type=int, default=7)
     ap.add_argument("--element-read-ms", type=float, default=0.25,
                     help="simulated per-element disk service time")
@@ -695,7 +692,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "clients": args.clients,
             "requests": args.requests,
             "client_rate": args.client_rate,
-            "workers": args.workers,
             "chunk_stripes": args.chunk_stripes,
             "element_read_ms": args.element_read_ms,
             "priority_grace_ms": args.priority_grace_ms,

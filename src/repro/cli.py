@@ -21,8 +21,8 @@ Subcommands
 ``rebuild``
     High-throughput whole-disk rebuild through :mod:`repro.pipeline`:
     encode a rotated multi-stripe array image, fail a physical disk,
-    rebuild it with the shared-memory stripe pipeline (``--workers``,
-    ``--chunk-stripes``) and verify byte-identity.  ``--plan-cache PATH``
+    rebuild it chunk by chunk (``--chunk-stripes``) and verify
+    byte-identity.  ``--plan-cache PATH``
     persists recovery plans so repeat runs skip the scheme search.
 ``serve``
     Online degraded-read serving: closed-loop clients read from the
@@ -407,7 +407,6 @@ def _cmd_rebuild(args) -> int:
     )
     pipe = RebuildPipeline(
         codec,
-        workers=args.workers,
         chunk_stripes=args.chunk_stripes,
         plan_cache=plan_cache,
         algorithm=args.algorithm,
@@ -426,7 +425,7 @@ def _cmd_rebuild(args) -> int:
     )
     print(
         f"          {stats['chunks']} chunks of <= {stats['chunk_stripes']} "
-        f"stripes, {stats['workers']} worker(s)"
+        "stripes"
     )
     print(
         f"speed   : {stats['rebuilt_mb_s']:.1f} MB/s "
@@ -611,7 +610,6 @@ def _cmd_serve(args) -> int:
         engine,
         request_lists,
         expected=original,
-        rebuild_workers=args.workers,
         chunk_stripes=args.chunk_stripes,
         settle_reads=args.settle_reads,
         pace=True,
@@ -916,10 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stripes", type=int, default=64)
     p.add_argument("--element-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker processes (<= 1 runs inline)")
     p.add_argument("--chunk-stripes", type=int, default=64,
-                   help="stripes per pipelined chunk")
+                   help="stripes per rebuild chunk")
     p.add_argument("--plan-cache", default=None, metavar="PATH",
                    help="persistent JSON scheme-plan cache")
     p.add_argument("--placement", default=None,
@@ -964,8 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-p99-ms", type=float, default=5.0)
     p.add_argument("--element-read-ms", type=float, default=0.25,
                    help="simulated per-element disk service time")
-    p.add_argument("--workers", type=int, default=0,
-                   help="rebuild pipeline workers (0 = inline)")
     p.add_argument("--chunk-stripes", type=int, default=16)
     p.add_argument("--settle-reads", type=int, default=5,
                    help="post-rebuild reads per client")

@@ -115,8 +115,8 @@ class BatchReconstructor:
         ``out`` must have shape ``(n_stripes, n_failed, element_size)``;
         slot ``i`` along axis 1 receives the element ``failed_eids[i]``.
         The output slices themselves are the accumulators — nothing is
-        allocated, which is what lets pipeline workers XOR views of a
-        shared-memory arena in place.  Returns ``out``.
+        allocated, so the rebuild pipeline reuses one gather buffer and
+        one output block for every chunk.  Returns ``out``.
         """
         if stripes.ndim != 3:
             raise ValueError(

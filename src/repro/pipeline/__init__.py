@@ -1,17 +1,15 @@
 """``repro.pipeline`` — high-throughput whole-disk rebuild engine.
 
-The streaming data plane for single-disk recovery: chunked stripe
-iteration (:mod:`repro.pipeline.chunks`), a double-buffered
-``multiprocessing.shared_memory`` arena (:mod:`repro.pipeline.arena`) and
-the multi-process pipeline itself (:mod:`repro.pipeline.engine`), wired to
-the persistent :class:`~repro.recovery.plancache.SchemePlanCache` so
-repeated rebuilds skip scheme search entirely.  Pool-scale rebuild — one
+The data plane for single-disk recovery: chunked stripe iteration
+(:mod:`repro.pipeline.chunks`) and the in-process chunked batch rebuild
+(:mod:`repro.pipeline.engine`), wired to the persistent
+:class:`~repro.recovery.plancache.SchemePlanCache` so repeated rebuilds
+skip scheme search entirely.  Pool-scale rebuild — one
 dead disk of a placed fleet, reads declustered across hundreds of disks —
 lives in :mod:`repro.pipeline.pool`.  See the "Rebuild throughput" section
 of ``docs/performance.md`` and ``docs/placement.md``.
 """
 
-from repro.pipeline.arena import ArenaSpec, SharedArena
 from repro.pipeline.chunks import StripeChunk, iter_chunks, rotation_classes
 from repro.pipeline.engine import RebuildPipeline, RebuildResult, rebuild_disk
 from repro.pipeline.pool import (
@@ -22,12 +20,10 @@ from repro.pipeline.pool import (
 )
 
 __all__ = [
-    "ArenaSpec",
     "PoolRebuild",
     "PoolRebuildResult",
     "RebuildPipeline",
     "RebuildResult",
-    "SharedArena",
     "StripeChunk",
     "compare_placements",
     "iter_chunks",

@@ -1,29 +1,26 @@
-"""High-throughput rebuild engine: shared-memory parallel stripe pipeline.
+"""Whole-disk rebuild engine: chunked batch recovery in one process.
 
 ``repro.pipeline`` is the data-plane counterpart of the planning layer: it
 takes a code, a failed physical disk and an array image and drives the
-whole rebuild as a streaming pipeline —
+whole rebuild chunk by chunk —
 
 1. :func:`~repro.pipeline.chunks.iter_chunks` slices the stripe space into
    homogeneous batches (one logical failed role, one compiled plan each);
-2. the parent gathers each chunk's surviving elements into a slot of a
-   :class:`~repro.pipeline.arena.SharedArena` (vectorised, one fancy-index
-   copy per disk) and pushes a tiny descriptor to the task queue — stripe
-   bytes are never pickled;
-3. workers XOR views of the shared slot straight into the output block via
-   :meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`, each
-   reusing one compiled plan per logical role for its whole lifetime;
-4. an ordered collector patches finished chunks back into the rebuilt disk
-   image in chunk order; the finite slot pool is the backpressure — at
-   most ``2 x workers`` chunks are ever in flight.
+2. each chunk's surviving elements are gathered into a reusable buffer
+   (vectorised, one fancy-index copy per disk);
+3. :meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into` XORs
+   the buffer straight into an output block, one compiled plan per
+   logical role for the whole rebuild;
+4. the recovered rows are patched back into the rebuilt disk image in
+   chunk order.
 
-With ``workers <= 1`` the same chunked batch path runs inline (no arena,
-no subprocesses) — that is the single-process baseline the benchmark
-harness compares against, and the output is byte-identical by
-construction.  ``use_batch=False`` additionally drops to the per-stripe
-:class:`~repro.codec.reconstructor.Reconstructor` path (zero-copy in-place
-patching via ``recover_and_patch(..., out=...)``), which is the engine the
-repo had before this module existed — kept as the equivalence oracle.
+Rebuild speed comes from balancing the reads over the surviving disks,
+not from spreading the XOR over cores: the kernel already runs at memory
+speed, so the chunked path stays in this process (see "Why rebuild runs
+in one process" in ``docs/performance.md``).  ``use_batch=False`` drops
+to the per-stripe :class:`~repro.codec.reconstructor.Reconstructor` path
+(zero-copy in-place patching via ``recover_and_patch(..., out=...)``),
+kept as the equivalence oracle.
 
 Planning is delegated to :class:`~repro.recovery.planner.RecoveryPlanner`,
 optionally backed by a persistent
@@ -33,9 +30,7 @@ the same code skip the C/U search entirely.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -45,18 +40,10 @@ from repro import obs
 from repro.codec.batch import BatchReconstructor
 from repro.codec.image import ArrayImageCodec
 from repro.codec.reconstructor import Reconstructor
-from repro.pipeline.arena import ArenaSpec, SharedArena
 from repro.pipeline.chunks import StripeChunk, iter_chunks
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
-
-
-def _mp_context():
-    """Fork where available (cheap, inherits nothing it shouldn't via the
-    arena's named attach); spawn elsewhere."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 @dataclass
@@ -73,62 +60,17 @@ class RebuildResult:
 
 
 # ----------------------------------------------------------------------
-# worker process
-# ----------------------------------------------------------------------
-def _worker_main(
-    worker_id: int,
-    spec: ArenaSpec,
-    schemes: Dict[int, RecoveryScheme],
-    task_q,
-    result_q,
-) -> None:
-    """Pipeline worker: recover chunks in shared memory until poisoned.
-
-    ``schemes`` (logical disk -> plan) is pickled to the worker exactly
-    once at spawn; each plan is compiled into a
-    :class:`BatchReconstructor` on first use and reused for every chunk of
-    that logical role thereafter.
-    """
-    arena = SharedArena.attach(spec)
-    compiled: Dict[int, BatchReconstructor] = {}
-    try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                break
-            chunk_id, slot, n_stripes, logical_disk = task
-            try:
-                recon = compiled.get(logical_disk)
-                if recon is None:
-                    recon = compiled[logical_disk] = BatchReconstructor(
-                        schemes[logical_disk]
-                    )
-                recon.recover_batch_into(
-                    arena.input_view(slot, n_stripes),
-                    arena.output_view(slot, n_stripes),
-                )
-            except Exception as exc:  # surface, don't hang the parent
-                result_q.put(("error", worker_id, chunk_id, repr(exc)))
-                break
-            result_q.put(("done", worker_id, chunk_id, slot))
-    finally:
-        arena.close()
-
-
-# ----------------------------------------------------------------------
 # pipeline
 # ----------------------------------------------------------------------
 class RebuildPipeline:
-    """Streaming multi-process rebuild of one failed physical disk.
+    """Chunked in-process rebuild of one failed physical disk.
 
     Parameters
     ----------
     codec:
         The array geometry (code, element size, stripe count, rotation).
-    workers:
-        Worker processes.  ``<= 1`` runs the chunked batch path inline.
     chunk_stripes:
-        Stripes per chunk (the batch size workers XOR at once).
+        Stripes per chunk (the batch XORed at once).
     planner:
         Optional pre-built planner (its cached schemes are reused).
     plan_cache:
@@ -137,22 +79,21 @@ class RebuildPipeline:
         Scheme search configuration when no planner is supplied.
     throttle:
         Optional hook called with each :class:`StripeChunk` *before* it is
-        gathered and dispatched.  Blocking inside the hook delays rebuild
-        work without touching anything else — this is the admission-control
-        point the QoS scheduler in :mod:`repro.serving` plugs into.
-        Applies to the chunked paths (``use_batch=True``).
+        gathered.  Blocking inside the hook delays rebuild work without
+        touching anything else — this is the admission-control point the
+        QoS scheduler in :mod:`repro.serving` plugs into.
+        Applies to the chunked path (``use_batch=True``).
     on_chunk:
         Optional hook called after each chunk's recovered rows have been
         patched into the rebuilt image, with ``(chunk, rows)`` where
         ``rows`` is a ``(n_stripes, k_rows, element_size)`` view valid
         only for the duration of the callback (copy to keep).  Chunks are
-        delivered in chunk-id order.  Applies to the chunked paths.
+        delivered in chunk-id order.  Applies to the chunked path.
     """
 
     def __init__(
         self,
         codec: ArrayImageCodec,
-        workers: int = 2,
         chunk_stripes: int = 64,
         planner: Optional[RecoveryPlanner] = None,
         plan_cache: Optional[SchemePlanCache] = None,
@@ -161,12 +102,9 @@ class RebuildPipeline:
         throttle: Optional[Callable[[StripeChunk], None]] = None,
         on_chunk: Optional[Callable[[StripeChunk, np.ndarray], None]] = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_stripes < 1:
             raise ValueError(f"chunk_stripes must be >= 1, got {chunk_stripes}")
         self.codec = codec
-        self.workers = workers
         self.chunk_stripes = min(chunk_stripes, max(1, codec.n_stripes))
         self.throttle = throttle
         self.on_chunk = on_chunk
@@ -188,7 +126,7 @@ class RebuildPipeline:
             return {d: self.planner.scheme_for_disk(d) for d in sorted(needed)}
 
     # ------------------------------------------------------------------
-    # gather / patch-back primitives (parent side)
+    # gather / patch-back primitives
     # ------------------------------------------------------------------
     def _gather_chunk(
         self, disks: np.ndarray, chunk: StripeChunk, out: np.ndarray
@@ -271,12 +209,9 @@ class RebuildPipeline:
             mode = "stripe-loop"
             self._rebuild_per_stripe(disks, failed_physical, schemes, rebuilt,
                                      reads_per_disk)
-        elif self.workers <= 1 or len(chunks) < 2:
+        else:
             mode = "inline-batch"
             self._rebuild_inline(disks, schemes, chunks, rebuilt, reads_per_disk)
-        else:
-            mode = "pipeline"
-            self._rebuild_parallel(disks, schemes, chunks, rebuilt, reads_per_disk)
         wall_s = time.perf_counter() - t0
 
         if patch:
@@ -287,7 +222,6 @@ class RebuildPipeline:
         obs.count("pipeline.bytes", rebuilt_bytes)
         stats = {
             "mode": mode,
-            "workers": self.workers if mode == "pipeline" else 1,
             "chunk_stripes": self.chunk_stripes,
             "chunks": len(chunks),
             "stripes": self.codec.n_stripes,
@@ -304,7 +238,7 @@ class RebuildPipeline:
                              stats=stats)
 
     # ------------------------------------------------------------------
-    # single-process paths
+    # rebuild paths
     # ------------------------------------------------------------------
     def _rebuild_per_stripe(
         self,
@@ -349,7 +283,7 @@ class RebuildPipeline:
         rebuilt: np.ndarray,
         reads_per_disk: List[int],
     ) -> None:
-        """Chunked batch path in this process (the workers<=1 fallback)."""
+        """Chunked batch path: gather, XOR and patch back one chunk at a time."""
         lay = self.codec.code.layout
         compiled = {d: BatchReconstructor(s) for d, s in schemes.items()}
         in_buf = np.empty(
@@ -374,113 +308,6 @@ class RebuildPipeline:
                 self.on_chunk(chunk, out_buf[:n])
             obs.count("pipeline.chunks")
 
-    # ------------------------------------------------------------------
-    # multi-process path
-    # ------------------------------------------------------------------
-    def _rebuild_parallel(
-        self,
-        disks: np.ndarray,
-        schemes: Dict[int, RecoveryScheme],
-        chunks: List[StripeChunk],
-        rebuilt: np.ndarray,
-        reads_per_disk: List[int],
-    ) -> None:
-        lay = self.codec.code.layout
-        ctx = _mp_context()
-        n_workers = min(self.workers, len(chunks))
-        n_slots = 2 * n_workers  # double buffering == the in-flight bound
-        arena = SharedArena(
-            n_slots=n_slots,
-            chunk_stripes=self.chunk_stripes,
-            n_elements=lay.n_elements,
-            k_rows=lay.k_rows,
-            element_size=self.codec.element_size,
-        )
-        task_q = ctx.Queue()
-        result_q = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(w, arena.spec, schemes, task_q, result_q),
-                daemon=True,
-            )
-            for w in range(n_workers)
-        ]
-        for p in procs:
-            p.start()
-
-        pending = deque(chunks)
-        free_slots = list(range(n_slots))
-        inflight: Dict[int, StripeChunk] = {}
-        slot_of: Dict[int, int] = {}
-        finished: Dict[int, int] = {}  # chunk_id -> slot, awaiting ordered patch
-        next_patch = 0
-        try:
-            with obs.span(
-                "pipeline.parallel", workers=n_workers, chunks=len(chunks)
-            ):
-                while next_patch < len(chunks):
-                    # keep the arena full: gather + dispatch while slots last
-                    while free_slots and pending:
-                        chunk = pending.popleft()
-                        if self.throttle is not None:
-                            self.throttle(chunk)
-                        slot = free_slots.pop()
-                        self._gather_chunk(
-                            disks, chunk, arena.input_view(slot, chunk.n_stripes)
-                        )
-                        inflight[chunk.chunk_id] = chunk
-                        slot_of[chunk.chunk_id] = slot
-                        task_q.put(
-                            (chunk.chunk_id, slot, chunk.n_stripes,
-                             chunk.logical_disk)
-                        )
-                        obs.gauge("pipeline.inflight", len(inflight))
-                    msg = result_q.get()
-                    if msg[0] == "error":
-                        _, worker_id, chunk_id, detail = msg
-                        raise RuntimeError(
-                            f"pipeline worker {worker_id} failed on chunk "
-                            f"{chunk_id}: {detail}"
-                        )
-                    _, _worker_id, chunk_id, slot = msg
-                    finished[chunk_id] = slot
-                    # ordered collector: patch back strictly by chunk id.
-                    # Chunks are dispatched in id order, so the lowest
-                    # unfinished id always holds a slot — the buffer can
-                    # never fill with out-of-order results and stall.
-                    while next_patch in finished:
-                        pslot = finished.pop(next_patch)
-                        chunk = inflight.pop(next_patch)
-                        del slot_of[next_patch]
-                        self._patch_chunk(
-                            rebuilt, chunk,
-                            arena.output_view(pslot, chunk.n_stripes),
-                        )
-                        self._bill_reads(
-                            reads_per_disk, chunk, schemes[chunk.logical_disk]
-                        )
-                        if self.on_chunk is not None:
-                            self.on_chunk(
-                                chunk,
-                                arena.output_view(pslot, chunk.n_stripes),
-                            )
-                        free_slots.append(pslot)
-                        next_patch += 1
-                        obs.count("pipeline.chunks")
-            for _ in procs:
-                task_q.put(None)
-            for p in procs:
-                p.join(timeout=30)
-        finally:
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - error unwind only
-                    p.terminate()
-                    p.join(timeout=5)
-            arena.close()
-            task_q.close()
-            result_q.close()
-
 
 # ----------------------------------------------------------------------
 # convenience wrapper
@@ -489,7 +316,6 @@ def rebuild_disk(
     codec: ArrayImageCodec,
     disks: np.ndarray,
     failed_physical: int,
-    workers: int = 2,
     chunk_stripes: int = 64,
     plan_cache: Optional[SchemePlanCache] = None,
     algorithm: str = "u",
@@ -498,7 +324,6 @@ def rebuild_disk(
     """One-call rebuild of a failed physical disk (see :class:`RebuildPipeline`)."""
     pipe = RebuildPipeline(
         codec,
-        workers=workers,
         chunk_stripes=chunk_stripes,
         plan_cache=plan_cache,
         algorithm=algorithm,

@@ -6,15 +6,11 @@ failure situation ahead of time and directly use them whenever they are
 needed."  :class:`RecoveryPlanner` is that cache, with JSON round-tripping so
 plans survive process restarts — the schemes are deterministic, so a reload
 is byte-identical to a regeneration.
-For wide arrays the per-disk searches are independent CPU-bound work, so
-:meth:`RecoveryPlanner.generate_all_parallel` fans them out over a process
-pool — the per-situation precomputation parallelises embarrassingly.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -27,38 +23,6 @@ from repro.recovery.naive import naive_scheme
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.scheme import RecoveryScheme
 from repro.recovery.ualgorithm import u_scheme
-
-
-#: per-process worker planner, built once by the pool initializer
-_WORKER_PLANNER: Optional["RecoveryPlanner"] = None
-
-
-def _init_worker(code, algorithm, depth, max_expansions) -> None:
-    """Pool initializer: build the worker's planner once per process.
-
-    The code object is pickled to each worker a single time here instead of
-    once per disk, and the worker-local planner keeps the enumeration
-    caches warm across the disks it handles (the combination closure only
-    depends on the code and depth, not the failed disk).
-    """
-    global _WORKER_PLANNER
-    _WORKER_PLANNER = RecoveryPlanner(code, algorithm, depth, max_expansions)
-
-
-def _generate_one(disk: int) -> "RecoveryScheme":
-    """Process-pool worker: generate one disk's scheme (top-level so it
-    pickles).
-
-    Failures are re-raised with the disk id attached — a bare worker
-    traceback surfacing through ``pool.map`` otherwise gives no hint which
-    of the fanned-out searches blew up.
-    """
-    try:
-        return _WORKER_PLANNER._generate(disk)
-    except Exception as exc:
-        raise RuntimeError(
-            f"scheme generation failed for disk {disk}: {exc!r}"
-        ) from exc
 
 
 class RecoveryPlanner:
@@ -135,83 +99,6 @@ class RecoveryPlanner:
     def all_disk_schemes(self) -> List[RecoveryScheme]:
         """Schemes for every disk, parity included."""
         return [self.scheme_for_disk(d) for d in range(self.code.layout.n_disks)]
-
-    def generate_all_parallel(
-        self, workers: int = 2, include_parity: bool = True
-    ) -> List[RecoveryScheme]:
-        """Precompute all per-disk schemes on a process pool.
-
-        Each single-disk failure situation is an independent search, so
-        this is an embarrassingly parallel fan-out; results land in the
-        cache exactly as sequential generation would (the searches are
-        deterministic).  Falls back to sequential generation for one
-        worker.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        disks = (
-            range(self.code.layout.n_disks)
-            if include_parity
-            else self.code.layout.data_disks
-        )
-        todo = [d for d in disks if d not in self._cache]
-        if todo and self.plan_cache is not None:
-            # resolve persistent-cache hits in the parent so only genuine
-            # searches are shipped to the pool
-            still = []
-            for d in todo:
-                hit = self._from_plan_cache(d)
-                if hit is not None:
-                    self._cache[d] = hit
-                else:
-                    still.append(d)
-            todo = still
-        if todo:
-            if workers == 1:
-                for d in todo:
-                    self._cache[d] = self._generate(d)
-            else:
-                n_workers = min(workers, len(todo))
-                with obs.span(
-                    "planner.parallel", workers=n_workers, disks=len(todo)
-                ):
-                    obs.count("planner.parallel_workers", n_workers)
-                    with ProcessPoolExecutor(
-                        max_workers=n_workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            self.code, self.algorithm, self.depth,
-                            self.max_expansions,
-                        ),
-                    ) as pool:
-                        for d, scheme in zip(todo, pool.map(_generate_one, todo)):
-                            self._cache[d] = scheme
-                            self._publish_worker_stats(scheme)
-                            if self.plan_cache is not None:
-                                self.plan_cache.put(
-                                    self.code, d, self.algorithm, self.depth,
-                                    scheme, self.max_expansions,
-                                )
-        return [self._cache[d] for d in disks]
-
-    @staticmethod
-    def _publish_worker_stats(scheme: RecoveryScheme) -> None:
-        """Fold a pool worker's search effort into the parent recorder.
-
-        Workers run in separate processes, so their own recorders (if any)
-        die with them; the stats ride back on the scheme metadata.
-        """
-        recorder = obs.get_recorder()
-        raw = scheme.search_stats
-        if recorder is None or raw is None:
-            return
-        from repro.recovery.search import SearchStats
-
-        known = {
-            k: v for k, v in raw.items() if k in SearchStats.__dataclass_fields__
-        }
-        SearchStats(**known).publish(recorder)
-        recorder.count("planner.schemes_generated")
 
     # ------------------------------------------------------------------
     # persistence

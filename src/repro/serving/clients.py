@@ -176,7 +176,6 @@ def run_closed_loop(
     engine: ServingEngine,
     request_lists: Sequence[Sequence[Request]],
     expected: Optional[np.ndarray] = None,
-    rebuild_workers: int = 0,
     chunk_stripes: int = 64,
     timeout_s: float = 300.0,
     settle_reads: int = 0,
@@ -205,7 +204,7 @@ def run_closed_loop(
     ]
     for c in clients:
         c.start()
-    engine.start_rebuild(workers=rebuild_workers, chunk_stripes=chunk_stripes)
+    engine.start_rebuild(chunk_stripes=chunk_stripes)
     finished = engine.rebuild_done.wait(timeout_s)
     if settle_reads:
         for c in clients:

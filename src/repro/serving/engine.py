@@ -361,7 +361,6 @@ class ServingEngine:
     # ------------------------------------------------------------------
     def start_rebuild(
         self,
-        workers: int = 0,
         chunk_stripes: int = 64,
         use_batch: bool = True,
     ) -> threading.Thread:
@@ -374,7 +373,6 @@ class ServingEngine:
             raise RuntimeError("rebuild already started")
         pipe = RebuildPipeline(
             self.codec,
-            workers=workers,
             chunk_stripes=chunk_stripes,
             planner=self.planner,
             throttle=self._throttle_hook,

@@ -184,7 +184,6 @@ def run_engine_open_loop(
     engine: ServingEngine,
     requests: Sequence[Request],
     expected: Optional[np.ndarray] = None,
-    rebuild_workers: int = 0,
     chunk_stripes: int = 64,
     timeout_s: float = 300.0,
 ) -> OpenLoopReport:
@@ -196,7 +195,7 @@ def run_engine_open_loop(
     physics, same rebuild interference).
     """
     arr, disks, rows = trace_arrays(requests)
-    engine.start_rebuild(workers=rebuild_workers, chunk_stripes=chunk_stripes)
+    engine.start_rebuild(chunk_stripes=chunk_stripes)
     report = replay_open_loop(engine.read, arr, disks, rows, expected=expected)
     finished = engine.rebuild_done.wait(timeout_s)
     if not finished:

@@ -42,6 +42,7 @@ fewer shards.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import queue as queue_mod
 import time
 import threading
@@ -54,7 +55,7 @@ import numpy as np
 from repro import obs
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
-from repro.pipeline.engine import RebuildPipeline, RebuildResult, _mp_context
+from repro.pipeline.engine import RebuildPipeline, RebuildResult
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
@@ -73,6 +74,13 @@ from repro.serving.shm import (
     SharedServingState,
     ServingStateSpec,
 )
+
+
+def _mp_context():
+    """Fork where available (cheap, and shard workers inherit the warmed
+    plans); spawn elsewhere."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 class BoardThrottle:
@@ -861,7 +869,6 @@ class ShardedServingEngine:
 
         pipe = RebuildPipeline(
             self.codec,
-            workers=0,
             chunk_stripes=self.rebuild_chunk_stripes,
             planner=self.planner,
             throttle=_throttle,

@@ -1,6 +1,8 @@
 """Rebuild-engine correctness: every path byte-identical to the legacy
 per-stripe rebuild, reads accounting preserved, failures surfaced."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ class TestInlinePaths:
                                           ("liberation", 7), ("cauchy_rs", 8)])
     def test_inline_batch_matches_original(self, family, n):
         codec, disks = build_image(family, n)
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=4)
+        pipe = RebuildPipeline(codec, chunk_stripes=4)
         for failed in range(codec.code.layout.n_disks):
             result = pipe.rebuild(disks, failed)
             assert np.array_equal(result.image, disks[failed]), failed
@@ -30,14 +32,14 @@ class TestInlinePaths:
     def test_matches_legacy_recover_disk(self):
         codec, disks = build_image()
         legacy = codec.recover_disk(disks, 2)
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=5)
+        pipe = RebuildPipeline(codec, chunk_stripes=5)
         result = pipe.rebuild(disks, 2)
         assert np.array_equal(result.image, legacy["image"])
         assert result.reads_per_disk == legacy["reads_per_disk"]
 
     def test_stripe_loop_oracle_matches_batch(self):
         codec, disks = build_image(n_stripes=11)
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=3)
+        pipe = RebuildPipeline(codec, chunk_stripes=3)
         batch = pipe.rebuild(disks, 4)
         loop = pipe.rebuild(disks, 4, use_batch=False)
         assert np.array_equal(batch.image, loop.image)
@@ -46,7 +48,7 @@ class TestInlinePaths:
 
     def test_chunk_size_one(self):
         codec, disks = build_image(n_stripes=9)
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=1)
+        pipe = RebuildPipeline(codec, chunk_stripes=1)
         result = pipe.rebuild(disks, 0)
         assert np.array_equal(result.image, disks[0])
 
@@ -54,7 +56,7 @@ class TestInlinePaths:
         codec, disks = build_image()
         trashed = disks.copy()
         trashed[3] = 0xAB  # simulate a genuinely dead disk
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=4)
+        pipe = RebuildPipeline(codec, chunk_stripes=4)
         result = pipe.rebuild(trashed, 3)
         assert np.array_equal(result.image, disks[3])
 
@@ -62,13 +64,13 @@ class TestInlinePaths:
         codec, disks = build_image()
         trashed = disks.copy()
         trashed[1] = 0
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=4)
+        pipe = RebuildPipeline(codec, chunk_stripes=4)
         pipe.rebuild(trashed, 1, patch=True)
         assert np.array_equal(trashed[1], disks[1])
 
     def test_stats_shape(self):
         codec, disks = build_image()
-        result = RebuildPipeline(codec, workers=1).rebuild(disks, 0)
+        result = RebuildPipeline(codec).rebuild(disks, 0)
         stats = result.stats
         assert stats["mode"] == "inline-batch"
         assert stats["stripes"] == codec.n_stripes
@@ -78,70 +80,48 @@ class TestInlinePaths:
 
     def test_rejects_bad_geometry(self):
         codec, disks = build_image()
-        pipe = RebuildPipeline(codec, workers=1)
+        pipe = RebuildPipeline(codec)
         with pytest.raises(IndexError):
             pipe.rebuild(disks, 99)
         with pytest.raises(ValueError):
             pipe.rebuild(disks[:, :-1], 0)
         with pytest.raises(ValueError):
-            RebuildPipeline(codec, workers=-1)
-        with pytest.raises(ValueError):
             RebuildPipeline(codec, chunk_stripes=0)
 
 
-class TestParallelPipeline:
-    """Real multi-process runs — small data, real shared memory."""
+class TestSingleProcess:
+    def test_rebuild_starts_no_child_process(self):
+        codec, disks = build_image(n_stripes=23)
+        children = []
 
-    def test_parallel_matches_original(self):
-        codec, disks = build_image(element_size=64, n_stripes=29)
-        pipe = RebuildPipeline(codec, workers=2, chunk_stripes=3)
-        result = pipe.rebuild(disks, 5)
-        assert result.stats["mode"] == "pipeline"
-        assert np.array_equal(result.image, disks[5])
+        def on_chunk(chunk, rows):
+            children.append(multiprocessing.active_children())
 
-    def test_parallel_matches_inline_everywhere(self):
-        codec, disks = build_image(element_size=16, n_stripes=17)
-        par = RebuildPipeline(codec, workers=2, chunk_stripes=2)
-        seq = RebuildPipeline(codec, workers=1, chunk_stripes=2)
-        for failed in (0, 3, 6):
-            a = par.rebuild(disks, failed)
-            b = seq.rebuild(disks, failed)
-            assert np.array_equal(a.image, b.image)
-            assert a.reads_per_disk == b.reads_per_disk
+        pipe = RebuildPipeline(codec, chunk_stripes=4, on_chunk=on_chunk)
+        result = pipe.rebuild(disks, 3)
+        assert np.array_equal(result.image, disks[3])
+        assert result.stats["chunks"] >= 2
+        assert len(children) == result.stats["chunks"]
+        assert all(c == [] for c in children)
 
-    def test_single_chunk_falls_back_inline(self):
-        # < 2 chunks cannot pipeline; must degrade, not hang
-        codec, disks = build_image(n_stripes=1)
-        pipe = RebuildPipeline(codec, workers=4, chunk_stripes=8)
-        result = pipe.rebuild(disks, 0)
-        assert result.stats["mode"] == "inline-batch"
-        assert np.array_equal(result.image, disks[0])
-
-    def test_worker_failure_surfaces(self, monkeypatch):
-        codec, disks = build_image(element_size=16, n_stripes=21)
-        pipe = RebuildPipeline(codec, workers=2, chunk_stripes=2)
-        # poison the schemes so every worker chunk blows up
-        broken = pipe._schemes_for(0)
-        monkeypatch.setattr(
-            RebuildPipeline, "_schemes_for",
-            lambda self, f: {d: None for d in broken},
-        )
-        with pytest.raises(RuntimeError, match="pipeline worker"):
-            pipe.rebuild(disks, 0)
+    def test_workers_option_is_gone(self):
+        codec, _ = build_image()
+        with pytest.raises(TypeError):
+            RebuildPipeline(codec, workers=2)
 
 
 class TestConvenienceAndPlanCache:
     def test_rebuild_disk_wrapper(self):
         codec, disks = build_image()
-        result = rebuild_disk(codec, disks, 1, workers=1, chunk_stripes=4)
+        result = rebuild_disk(codec, disks, 1, chunk_stripes=4)
         assert np.array_equal(result.image, disks[1])
 
     def test_plan_cache_round_trip(self, tmp_path):
         store = tmp_path / "plans.json"
         codec, disks = build_image()
-        r1 = rebuild_disk(codec, disks, 2, workers=1, plan_cache=SchemePlanCache(store))
+        r1 = rebuild_disk(codec, disks, 2, plan_cache=SchemePlanCache(store))
         cache2 = SchemePlanCache(store)
-        r2 = rebuild_disk(codec, disks, 2, workers=1, plan_cache=cache2)
+        r2 = rebuild_disk(codec, disks, 2, plan_cache=cache2)
         assert np.array_equal(r1.image, r2.image)
         assert cache2.misses == 0 and cache2.hits > 0
         assert r2.stats["plan_cache"]["hits"] == cache2.hits
@@ -150,6 +130,6 @@ class TestConvenienceAndPlanCache:
         codec, disks = build_image()
         planner = RecoveryPlanner(codec.code, algorithm="u", depth=1)
         planner.all_disk_schemes()
-        pipe = RebuildPipeline(codec, workers=1, planner=planner)
+        pipe = RebuildPipeline(codec, planner=planner)
         result = pipe.rebuild(disks, 0)
         assert np.array_equal(result.image, disks[0])

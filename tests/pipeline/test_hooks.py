@@ -16,8 +16,7 @@ def build_image(n_stripes=23, element_size=32, seed=2):
     return codec, disks
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_hooks_fire_once_per_chunk_in_order(workers):
+def test_hooks_fire_once_per_chunk_in_order():
     codec, disks = build_image()
     throttled = []
     completed = []
@@ -33,7 +32,6 @@ def test_hooks_fire_once_per_chunk_in_order(workers):
 
     pipe = RebuildPipeline(
         codec,
-        workers=workers,
         chunk_stripes=4,
         throttle=throttle,
         on_chunk=on_chunk,
@@ -43,7 +41,6 @@ def test_hooks_fire_once_per_chunk_in_order(workers):
 
     n_chunks = result.stats["chunks"]
     assert throttled == list(range(n_chunks))
-    # on_chunk is delivered in chunk-id order even on the parallel path
     assert completed == list(range(n_chunks))
 
     k = codec.code.layout.k_rows
@@ -60,14 +57,14 @@ def test_throttle_exception_aborts_rebuild():
     def throttle(chunk):
         raise RuntimeError("admission denied")
 
-    pipe = RebuildPipeline(codec, workers=0, chunk_stripes=4, throttle=throttle)
+    pipe = RebuildPipeline(codec, chunk_stripes=4, throttle=throttle)
     with pytest.raises(RuntimeError, match="admission denied"):
         pipe.rebuild(disks, 0)
 
 
 def test_hooks_default_to_none():
     codec, disks = build_image(n_stripes=8)
-    pipe = RebuildPipeline(codec, workers=0, chunk_stripes=4)
+    pipe = RebuildPipeline(codec, chunk_stripes=4)
     assert pipe.throttle is None and pipe.on_chunk is None
     result = pipe.rebuild(disks, 0)
     assert np.array_equal(result.image, disks[0])

@@ -79,13 +79,13 @@ class TestCacheHitEquivalence:
         cache = SchemePlanCache(tmp_path / "plans.json")
         planner = RecoveryPlanner(code, algorithm="u", depth=1,
                                   plan_cache=cache)
-        planner.generate_all_parallel(workers=2)
+        planner.all_disk_schemes()
         assert cache.stats()["disk_entries"] == code.layout.n_disks
-        # second parallel pass over a fresh planner is all cache hits
+        # second pass over a fresh planner is all cache hits
         cache2 = SchemePlanCache(tmp_path / "plans.json")
         planner2 = RecoveryPlanner(code, algorithm="u", depth=1,
                                    plan_cache=cache2)
-        planner2.generate_all_parallel(workers=2)
+        planner2.all_disk_schemes()
         assert cache2.hits == code.layout.n_disks
         assert cache2.misses == 0
 

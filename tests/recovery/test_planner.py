@@ -107,54 +107,6 @@ class TestPlanner:
         fresh = RecoveryPlanner(code, algorithm="u")
         assert fresh.load(path) == 1
 
-    def test_parallel_generation_matches_sequential(self, code):
-        seq = RecoveryPlanner(code, algorithm="u", depth=1)
-        par = RecoveryPlanner(code, algorithm="u", depth=1)
-        a = seq.all_disk_schemes()
-        b = par.generate_all_parallel(workers=2)
-        assert [s.read_mask for s in a] == [s.read_mask for s in b]
-        assert [s.equations for s in a] == [s.equations for s in b]
-
-    def test_parallel_single_worker_fallback(self, code):
-        planner = RecoveryPlanner(code, algorithm="khan", depth=1)
-        schemes = planner.generate_all_parallel(workers=1, include_parity=False)
-        assert len(schemes) == code.layout.n_data
-
-    def test_parallel_worker_validation(self, code):
-        planner = RecoveryPlanner(code, algorithm="u")
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            planner.generate_all_parallel(workers=0)
-
-    def test_parallel_caps_workers_at_todo(self, code):
-        """More workers than remaining disks must not spawn idle
-        processes — and the run still completes correctly."""
-        planner = RecoveryPlanner(code, algorithm="u", depth=1)
-        # pre-fill all but one disk so todo == 1
-        for d in range(code.layout.n_disks - 1):
-            planner.scheme_for_disk(d)
-        schemes = planner.generate_all_parallel(workers=8)
-        assert len(schemes) == code.layout.n_disks
-
-    def test_worker_failure_names_the_disk(self, code):
-        """A worker exception carries the disk id instead of surfacing as
-        an opaque pool traceback."""
-        from repro.recovery import planner as planner_mod
-
-        planner_mod._init_worker(code, "u", 1, None)
-
-        def boom(self, disk):
-            raise RuntimeError("search exploded")
-
-        original = planner_mod.RecoveryPlanner._generate
-        planner_mod.RecoveryPlanner._generate = boom
-        try:
-            with pytest.raises(RuntimeError, match="disk 3"):
-                planner_mod._generate_one(3)
-        finally:
-            planner_mod.RecoveryPlanner._generate = original
-
     def test_loaded_schemes_validate(self, code, tmp_path):
         planner = RecoveryPlanner(code, algorithm="u")
         planner.all_data_disk_schemes()

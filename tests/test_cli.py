@@ -1,5 +1,7 @@
 """Tests for the repro-recovery CLI."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -192,26 +194,51 @@ class TestCommands:
     def test_rebuild_inline(self, capsys):
         assert main(["rebuild", "--family", "rdp", "--disks", "7",
                      "--stripes", "16", "--element-size", "64",
-                     "--workers", "1", "--chunk-stripes", "4"]) == 0
+                     "--chunk-stripes", "4"]) == 0
         out = capsys.readouterr().out
         assert "inline-batch" in out
         assert "MB/s" in out
         assert "byte-exact" in out
 
-    def test_rebuild_parallel_with_plan_cache(self, capsys, tmp_path):
+    def test_rebuild_with_plan_cache(self, capsys, tmp_path):
         store = tmp_path / "plans.json"
         args = ["rebuild", "--family", "evenodd", "--disks", "7",
                 "--failed-disk", "2", "--stripes", "24",
-                "--element-size", "64", "--workers", "2",
+                "--element-size", "64",
                 "--chunk-stripes", "3", "--plan-cache", str(store)]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "pipeline" in out
+        assert "inline-batch" in out
         assert "miss(es)" in out
         assert store.exists()
         # warm run served from the on-disk store
         assert main(args) == 0
         assert "0 miss(es)" in capsys.readouterr().out
+
+    def test_rebuild_defaults_start_no_child_process(self, capsys, monkeypatch):
+        from repro.pipeline import RebuildPipeline
+
+        children = []
+        original_init = RebuildPipeline.__init__
+
+        def init_with_probe(self, *args, **kwargs):
+            kwargs["on_chunk"] = lambda chunk, rows: children.append(
+                multiprocessing.active_children()
+            )
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RebuildPipeline, "__init__", init_with_probe)
+        assert main(["rebuild"]) == 0
+        assert "byte-exact" in capsys.readouterr().out
+        assert len(children) >= 2
+        assert all(c == [] for c in children)
+
+    @pytest.mark.parametrize("command", ["rebuild", "serve"])
+    def test_workers_option_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_rebuild_pool_placement(self, capsys):
         assert main(["rebuild", "--family", "rdp", "--disks", "7",
