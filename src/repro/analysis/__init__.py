@@ -1,4 +1,4 @@
-"""Metrics, stack methodology, and experiment-series generators.
+"""Metrics and experiment-series generators.
 
 :mod:`repro.analysis.experiments` regenerates the paper's Figure 3 (average
 parallel read accesses) and Figure 4 (average recovery speed) series and the
@@ -10,7 +10,6 @@ from repro.analysis.metrics import (
     load_balance_ratio,
     parallel_read_accesses,
 )
-from repro.analysis.stack import rotate_disk, rotation_schedule
 from repro.analysis.experiments import (
     FIGURE_ALGORITHMS,
     FIGURE_DISK_RANGE,
@@ -24,12 +23,6 @@ from repro.analysis.export import (
     read_series_csv,
     series_to_csv,
     write_series_csv,
-)
-from repro.analysis.loadmap import (
-    balance_summary,
-    load_matrix,
-    load_matrix_for_algorithm,
-    render_load_map,
 )
 from repro.analysis.tables import render_improvement_summary, render_series_table
 from repro.analysis.theory import (
@@ -45,10 +38,6 @@ __all__ = [
     "FIGURE_DISK_RANGE",
     "SchemeCache",
     "ascii_plot",
-    "balance_summary",
-    "load_matrix",
-    "load_matrix_for_algorithm",
-    "render_load_map",
     "evenodd_naive_reads",
     "evenodd_optimal_reads",
     "rdp_balanced_max_load",
@@ -65,6 +54,4 @@ __all__ = [
     "load_balance_ratio",
     "parallel_read_accesses",
     "render_series_table",
-    "rotate_disk",
-    "rotation_schedule",
 ]

@@ -147,8 +147,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _disk_range(args) -> range:
+    """``--min-disks``..``--max-disks`` inclusive, shared by figure/report."""
+    if args.min_disks > args.max_disks:
+        raise ValueError(
+            f"--min-disks {args.min_disks} is greater than "
+            f"--max-disks {args.max_disks}"
+        )
+    return range(args.min_disks, args.max_disks + 1)
+
+
 def _figure_cmd(args, which: int) -> int:
-    disk_range = range(args.min_disks, args.max_disks + 1)
+    disk_range = _disk_range(args)
     cache = SchemeCache(depth=args.depth, cache_dir=args.cache_dir)
     series_fn = figure3_series if which == 3 else figure4_series
     series = series_fn(args.family, disk_range, cache=cache)
@@ -816,7 +826,7 @@ def _cmd_report(args) -> int:
 
     cache = SchemeCache(depth=1, cache_dir=args.cache_dir)
     text = generate_report(
-        disk_range=range(args.min_disks, args.max_disks + 1),
+        disk_range=_disk_range(args),
         cache=cache,
         include_reliability=not args.no_reliability,
     )

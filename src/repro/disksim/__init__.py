@@ -22,18 +22,12 @@ on-line recovery competing with user traffic.
 from repro.disksim.array import DiskArraySimulator
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
 from repro.disksim.events import EventDrivenArray, OnlineRecoveryResult
-from repro.disksim.placement import (
-    FlatPlacement,
-    PlacementRecovery,
-    RotatedPlacement,
-    recovery_under_placement,
-)
 from repro.disksim.rebuild import RebuildResult, simulate_rebuild
-from repro.disksim.recovery_sim import RecoveryResult, simulate_stack_recovery
-from repro.disksim.reliability import (
-    ReliabilityResult,
-    recovery_hours_for_disk,
-    simulate_reliability,
+from repro.disksim.recovery_sim import (
+    PlacementRecovery,
+    RecoveryResult,
+    recovery_under_placement,
+    simulate_stack_recovery,
 )
 from repro.disksim.workload import (
     HotspotWorkload,
@@ -46,21 +40,16 @@ __all__ = [
     "DiskArraySimulator",
     "DiskParams",
     "EventDrivenArray",
-    "FlatPlacement",
     "HotspotWorkload",
     "PlacementRecovery",
-    "RotatedPlacement",
     "recovery_under_placement",
     "OnlineRecoveryResult",
     "PoissonWorkload",
     "SequentialScanWorkload",
     "RebuildResult",
     "RecoveryResult",
-    "ReliabilityResult",
     "Request",
     "SAVVIO_10K3",
-    "recovery_hours_for_disk",
     "simulate_rebuild",
-    "simulate_reliability",
     "simulate_stack_recovery",
 ]

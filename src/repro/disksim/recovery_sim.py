@@ -8,16 +8,25 @@ proceeds stripe by stripe — the per-stripe reads are issued in parallel and
 the stripe completes when its most loaded disk finishes — and the recovery
 speed is recovered bytes over total read time.  Write-back of recovered data
 is excluded, exactly as the paper defines recovery time (Sec. I).
+
+:func:`recovery_under_placement` drops the rotation assumption: it prices
+each physical disk's recovery under any single-array
+:class:`~repro.placement.PlacementMap`, so an unrotated table exposes the
+per-situation cost differences that rotation averages away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.codes.base import ErasureCode
 from repro.disksim.array import DiskArraySimulator
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
+from repro.placement.map import PlacementMap
+from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
 
@@ -97,3 +106,64 @@ def compare_schemes_speed(
         alg: simulate_stack_recovery(code, schemes, stacks, params).speed_mb_s
         for alg, schemes in schemes_by_algorithm.items()
     }
+
+
+@dataclass(frozen=True)
+class PlacementRecovery:
+    """Per-physical-disk recovery times under one placement."""
+
+    placement: str
+    per_disk_time_s: List[float]
+
+    @property
+    def worst_s(self) -> float:
+        return max(self.per_disk_time_s)
+
+    @property
+    def best_s(self) -> float:
+        return min(self.per_disk_time_s)
+
+    @property
+    def spread(self) -> float:
+        """worst/best ratio — 1.0 means placement-independent recovery."""
+        if self.best_s == 0:
+            return 1.0
+        return self.worst_s / self.best_s
+
+
+def recovery_under_placement(
+    code: ErasureCode,
+    placement: PlacementMap,
+    planner: Optional[RecoveryPlanner] = None,
+    params: "DiskParams | Sequence[DiskParams]" = SAVVIO_10K3,
+) -> PlacementRecovery:
+    """Recovery time of each physical disk of one array under ``placement``.
+
+    ``placement`` must lay every stripe over the whole array
+    (``n_pool == width == n_disks``).  ``make_placement("flat", n, s, n)``
+    is the paper's rotated layout; a table with ``table[s, j] = (j - s) %
+    n`` pins every logical role to one physical disk (no rotation).  A
+    disk's time is how often it plays each logical role times that role's
+    stripe recovery time.
+    """
+    lay = code.layout
+    n = lay.n_disks
+    if placement.n_pool != n or placement.width != n:
+        raise ValueError(
+            f"placement {placement.name!r} spans {placement.width} of "
+            f"{placement.n_pool} disks; a single-array recovery needs "
+            f"width == pool == {n}"
+        )
+    planner = planner or RecoveryPlanner(code, algorithm="u", depth=1)
+    array = DiskArraySimulator(n, params)
+    role_time_s = np.array(
+        [
+            array.stripe_recovery_time(lay, planner.scheme_for_disk(r).read_mask)
+            for r in range(n)
+        ]
+    )
+    times = [
+        float(np.bincount(placement.roles_of_disk(d)[1], minlength=n) @ role_time_s)
+        for d in range(n)
+    ]
+    return PlacementRecovery(placement=placement.name, per_disk_time_s=times)

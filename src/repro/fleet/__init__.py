@@ -23,6 +23,7 @@ from repro.fleet.windows import (
     QosPolicy,
     RepairWindows,
     price_repair_windows,
+    recovery_hours_for_disk,
     uniform_windows,
 )
 
@@ -34,6 +35,7 @@ __all__ = [
     "default_engine",
     "make_criticality",
     "price_repair_windows",
+    "recovery_hours_for_disk",
     "run_fleet",
     "simulate_fleet",
     "uniform_windows",

@@ -138,6 +138,15 @@ def uniform_windows(
     )
 
 
+def recovery_hours_for_disk(
+    disk_capacity_gb: float, recovery_speed_mb_s: float
+) -> float:
+    """Hours to rebuild a whole disk at the given recovery speed."""
+    if recovery_speed_mb_s <= 0:
+        raise ValueError("recovery speed must be positive")
+    return disk_capacity_gb * 1024.0 / recovery_speed_mb_s / 3600.0
+
+
 def _placement_digest(placement: PlacementMap) -> str:
     h = hashlib.sha256()
     h.update(placement.name.encode())

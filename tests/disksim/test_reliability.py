@@ -1,12 +1,22 @@
-"""Tests for the window-of-vulnerability Monte-Carlo."""
+"""Window-of-vulnerability checks for one array on the fleet engine.
+
+A single array is ``repro.fleet`` with constant repair windows and no
+criticality oracle: any ``fault_tolerance + 1`` concurrent failures lose
+data.
+"""
 
 import pytest
 
 from repro.codes import Raid4Code, RdpCode, StarCode
-from repro.disksim.reliability import (
-    recovery_hours_for_disk,
-    simulate_reliability,
-)
+from repro.fleet import recovery_hours_for_disk, simulate_fleet, uniform_windows
+
+
+def simulate(code, recovery_hours, **kwargs):
+    return simulate_fleet(
+        uniform_windows(code.layout.n_disks, recovery_hours),
+        code.fault_tolerance,
+        **kwargs,
+    )
 
 
 class TestRecoveryHours:
@@ -16,7 +26,7 @@ class TestRecoveryHours:
         assert hours == pytest.approx(300 * 1024 / 56.1 / 3600, rel=1e-6)
 
     def test_invalid_speed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             recovery_hours_for_disk(300, 0)
 
 
@@ -24,16 +34,15 @@ class TestSimulation:
     def test_validation(self):
         code = RdpCode(5)
         with pytest.raises(ValueError):
-            simulate_reliability(code, -1.0)
+            simulate(code, -1.0)
         with pytest.raises(ValueError):
-            simulate_reliability(code, 1.0, trials=0)
+            simulate(code, 1.0, trials=0)
 
     def test_zero_recovery_time_never_loses(self):
         """Instant repair means at most one disk is ever down."""
         code = RdpCode(5)
-        r = simulate_reliability(code, 0.0, disk_mttf_hours=5000.0,
-                                 trials=300, seed=1)
-        assert r.data_loss_probability == 0.0
+        r = simulate(code, 0.0, disk_mttf_hours=5000.0, trials=300, seed=1)
+        assert r.loss_probability == 0.0
         assert r.mean_degraded_fraction == pytest.approx(0.0, abs=1e-9)
 
     def test_faster_recovery_reduces_loss(self):
@@ -43,9 +52,9 @@ class TestSimulation:
         code = Raid4Code(6, 4)  # tolerates one failure
         kwargs = dict(disk_mttf_hours=50_000.0, mission_hours=50_000.0,
                       trials=800, seed=7)
-        slow = simulate_reliability(code, 400.0, **kwargs)
-        fast = simulate_reliability(code, 100.0, **kwargs)
-        assert 0.0 < fast.data_loss_probability < slow.data_loss_probability < 1.0
+        slow = simulate(code, 400.0, **kwargs)
+        fast = simulate(code, 100.0, **kwargs)
+        assert 0.0 < fast.loss_probability < slow.loss_probability < 1.0
         assert fast.mean_degraded_fraction < slow.mean_degraded_fraction
 
     def test_higher_tolerance_survives_better(self):
@@ -53,41 +62,36 @@ class TestSimulation:
         star = StarCode(5)  # 3-fault tolerant, 8 disks
         kwargs = dict(recovery_hours=300.0, disk_mttf_hours=3000.0,
                       trials=600, seed=3)
-        r2 = simulate_reliability(rdp, **kwargs)
-        r3 = simulate_reliability(star, **kwargs)
-        assert r3.data_loss_probability <= r2.data_loss_probability
+        r2 = simulate(rdp, **kwargs)
+        r3 = simulate(star, **kwargs)
+        assert r3.loss_probability <= r2.loss_probability
 
     def test_nines(self):
-        code = RdpCode(5)
-        r = simulate_reliability(code, 0.0, trials=10, seed=1)
+        r = simulate(RdpCode(5), 0.0, trials=10, seed=1)
         assert r.nines() == float("inf")
 
     def test_failures_accumulate(self):
-        code = RdpCode(5)
-        r = simulate_reliability(code, 1.0, disk_mttf_hours=2000.0,
-                                 mission_hours=50000.0, trials=50, seed=9)
+        r = simulate(RdpCode(5), 1.0, disk_mttf_hours=2000.0,
+                     mission_hours=50000.0, trials=50, seed=9)
         assert r.mean_failures_per_mission > 1.0
 
     def test_lost_missions_still_count_degraded_time(self):
-        """Regression: the degraded interval in flight when a mission is
-        lost used to be dropped, so a regime where every trial loses data
-        reported a degraded fraction of exactly zero."""
-        code = RdpCode(5)
-        r = simulate_reliability(code, 5000.0, disk_mttf_hours=200.0,
-                                 mission_hours=50000.0, trials=40, seed=4)
-        assert r.data_loss_probability == 1.0
+        """A regime where every trial loses data still reports the degraded
+        interval in flight at the loss instant."""
+        r = simulate(RdpCode(5), 5000.0, disk_mttf_hours=200.0,
+                     mission_hours=50000.0, trials=40, seed=4)
+        assert r.loss_probability == 1.0
         assert r.mean_degraded_fraction > 0.0
 
     def test_zero_recovery_hours_is_explicitly_allowed(self):
-        code = RdpCode(5)
-        r = simulate_reliability(code, 0.0, trials=5, seed=0)
+        r = simulate(RdpCode(5), 0.0, trials=5, seed=0)
         assert r.trials == 5
 
     def test_validation_messages(self):
         code = RdpCode(5)
         with pytest.raises(ValueError, match=">= 0"):
-            simulate_reliability(code, -0.5)
+            simulate(code, -0.5)
         with pytest.raises(ValueError, match="positive"):
-            simulate_reliability(code, 1.0, disk_mttf_hours=0.0)
+            simulate(code, 1.0, disk_mttf_hours=0.0)
         with pytest.raises(ValueError, match="positive"):
-            simulate_reliability(code, 1.0, mission_hours=-10.0)
+            simulate(code, 1.0, mission_hours=-10.0)

@@ -121,6 +121,7 @@ class TestSemantics:
         short = simulate_fleet(uniform_windows(16, 2.0), **kwargs)
         long = simulate_fleet(uniform_windows(16, 100.0), **kwargs)
         assert short.losses < long.losses
+        assert short.mean_degraded_fraction < long.mean_degraded_fraction
 
     def test_observed_hours_stop_at_loss(self):
         r = simulate_fleet(
@@ -130,6 +131,10 @@ class TestSemantics:
         )
         assert r.losses == 50
         assert r.observed_hours < 50 * 8760.0
+        # at tolerance 0 the first failure is the loss instant, so no
+        # degraded time accrues (tests/disksim/test_reliability.py checks
+        # the in-flight interval is counted when tolerance > 0)
+        assert r.mean_degraded_fraction == 0.0
 
 
 class TestRunFleet:

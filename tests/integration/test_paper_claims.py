@@ -104,6 +104,13 @@ class TestSection5Claims:
             for c, u in zip(series["c"], series["u"]):
                 assert u <= c + 1e-9
 
+    def test_u_never_worse_than_khan(self, fig3):
+        """Mean max load per failure: U balances at least as well as Khan
+        at every disk count of every family."""
+        for series in fig3.values():
+            for khan, u in zip(series["khan"], series["u"]):
+                assert u <= khan + 1e-9
+
     def test_star_needs_fewer_parallel_reads(self, cache):
         """'there are more calculation equations in the higher failure
         tolerance code ... which potentially needs less recovery time'

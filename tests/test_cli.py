@@ -334,6 +334,12 @@ class TestErrorContract:
             capsys, ["trace", "--family", "xcode", "--disks", "9"]
         )
 
+    @pytest.mark.parametrize("command", ["figure3", "figure4", "report"])
+    def test_inverted_disk_range(self, capsys, command):
+        assert main([command, "--min-disks", "9", "--max-disks", "7"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: --min-disks 9 is greater than --max-disks 7"
+
     def test_unknown_family_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["scheme", "--family", "nope", "--disks", "8"])
