@@ -5,23 +5,21 @@ traffic; the operational question is *how much* rebuild bandwidth to admit
 while user reads stay within their latency target.  This module implements
 the classic answer:
 
-* :class:`LatencyWindow` — a sliding window of recent read latencies with
-  nearest-rank percentiles (the p99 the controller steers on);
 * :class:`TokenBucket` — admission control for rebuild chunk dispatch; one
   token buys one chunk, the refill rate *is* the rebuild rate;
-* :class:`QosController` — the feedback loop: when read p99 exceeds the
-  target the bucket rate is multiplicatively decreased (AIMD-style), when
-  the read queue drains and p99 sits comfortably under target it
-  re-accelerates.  The rate never drops below a floor derived from the
-  observed chunk duration, which *bounds rebuild-completion inflation by
-  construction*: with floor ``1 / (ema_chunk_s * (1 + max_inflation))``
-  the added pacing delay per chunk is at most ``max_inflation`` times the
+* :class:`RebuildThrottle` — the feedback loop around the bucket.  The
+  rebuild runs in the parent process while reads are served by shard
+  workers, so the throttle steers on what the shards publish: the worst
+  per-shard p99 on the shared latency board.  Over target the chunk rate
+  is cut multiplicatively (AIMD); comfortably under target it ramps back.
+  The rate never drops below a floor derived from the parent's own
+  chunk timings, which *bounds rebuild-completion inflation by
+  construction*: with floor ``1 / (ema_chunk_s * (1 + MAX_INFLATION))``
+  the added pacing delay per chunk is at most ``MAX_INFLATION`` times the
   chunk's own duration.
 
-Everything is thread-safe (reader threads feed latencies while the rebuild
-thread blocks on :meth:`QosController.before_chunk`) and surfaced on
-``serving.*`` obs counters/gauges — never spans, which are not
-thread-safe.
+The throttle's counters and gauges are ``serving.*`` obs metrics (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -29,10 +27,31 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
+from repro.serving.shm import BOARD_P99_MS, BOARD_SERVED
+
+#: multiplicative rate cut when the board p99 is over target
+DECREASE = 0.5
+#: multiplicative ramp when the board p99 is comfortably under target
+INCREASE = 1.2
+#: "comfortably under": p99 at most this fraction of the target
+RECOVER_FRACTION = 0.8
+#: minimum spacing between rate adjustments, seconds
+ADJUST_INTERVAL_S = 0.05
+#: a shard's p99 is trusted once it has served this many reads
+MIN_SERVED = 32
+#: per-chunk pacing delay bound, as a fraction of the chunk EMA
+MAX_INFLATION = 0.35
+#: weight of the newest chunk duration in the EMA
+EMA_WEIGHT = 0.3
+#: a ramp past this multiple of the floor uncaps the bucket
+CEILING_FACTOR = 20.0
+#: wait cap before the first chunk has been timed, seconds
+FIRST_CHUNK_MAX_WAIT_S = 0.05
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -44,28 +63,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     data = sorted(values)
     rank = max(1, math.ceil(q * len(data)))
     return data[rank - 1]
-
-
-class LatencyWindow:
-    """Sliding window of recent latencies with percentile queries."""
-
-    def __init__(self, size: int = 512) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self._lat: deque = deque(maxlen=size)
-        self._lock = threading.Lock()
-
-    def record(self, latency_s: float) -> None:
-        with self._lock:
-            self._lat.append(latency_s)
-
-    def __len__(self) -> int:
-        return len(self._lat)
-
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            snapshot = list(self._lat)
-        return percentile(snapshot, q)
 
 
 class TokenBucket:
@@ -135,98 +132,97 @@ class TokenBucket:
             waited += need
 
 
-class QosController:
-    """Adaptive rebuild-rate governor steering on read p99.
+class RebuildThrottle:
+    """Rebuild-chunk admission steering on the shared latency board.
 
     Parameters
     ----------
+    board:
+        The ``n_shards x BOARD_FIELDS`` latency board
+        (:class:`~repro.serving.shm.SharedServingState.board`); the
+        throttle reads the worst p99 among shards that have served at
+        least :data:`MIN_SERVED` reads.
     target_p99_ms:
-        The user-read latency objective.
-    window:
-        Latency samples kept for the percentile estimate.
-    max_inflation:
-        Upper bound on the *fractional* rebuild slowdown the controller
-        may impose: the pacing floor keeps per-chunk added delay within
-        ``max_inflation`` times the observed chunk duration.
-    decrease / increase:
-        Multiplicative back-off factor on overload and additive-ish
-        re-acceleration factor when the queue is drained.
-    recover_fraction:
-        Hysteresis for re-acceleration: the rate climbs only while p99
-        sits below ``recover_fraction * target_p99_ms``.  Too tight a
-        band (e.g. 0.5) can pin the rate at the floor forever when the
-        I/O discipline itself holds p99 just above the band, inflating
-        the rebuild for no latency benefit.
-    adjust_interval_s:
-        Minimum spacing between rate adjustments.
-    min_samples:
-        Latency samples required before the controller starts steering.
+        The read-latency objective.  ``None`` disables steering: the
+        rate is never adjusted and no wait is capped, so the bucket
+        paces at exactly ``rate``.
+    rate:
+        Initial chunk rate (chunks/s); ``None`` starts uncapped.
+
+    The rebuild loop calls :meth:`before_chunk` (admission) and
+    :meth:`after_chunk` (folds the chunk's duration into the EMA that
+    sets the rate floor) around every chunk, from one thread.
     """
 
     def __init__(
         self,
-        target_p99_ms: float = 5.0,
-        window: int = 512,
-        max_inflation: float = 0.35,
-        decrease: float = 0.5,
-        increase: float = 1.25,
-        recover_fraction: float = 0.8,
-        adjust_interval_s: float = 0.02,
-        min_samples: int = 16,
+        board: np.ndarray,
+        target_p99_ms: Optional[float] = None,
+        rate: Optional[float] = None,
     ) -> None:
-        if target_p99_ms <= 0:
+        if target_p99_ms is not None and target_p99_ms <= 0:
             raise ValueError(f"target_p99_ms must be positive, got {target_p99_ms}")
-        if max_inflation <= 0:
-            raise ValueError(f"max_inflation must be positive, got {max_inflation}")
-        if not 0 < decrease < 1:
-            raise ValueError(f"decrease must be in (0, 1), got {decrease}")
-        if increase <= 1:
-            raise ValueError(f"increase must be > 1, got {increase}")
-        if not 0 < recover_fraction <= 1:
-            raise ValueError(
-                f"recover_fraction must be in (0, 1], got {recover_fraction}"
-            )
+        self.board = board
         self.target_p99_ms = target_p99_ms
-        self.max_inflation = max_inflation
-        self.decrease = decrease
-        self.increase = increase
-        self.recover_fraction = recover_fraction
-        self.adjust_interval_s = adjust_interval_s
-        self.min_samples = min_samples
-        self.window = LatencyWindow(window)
-        self.bucket = TokenBucket(rate=None)
-        self._lock = threading.Lock()
-        self._pending = 0
+        self.bucket = TokenBucket(rate=rate)
         self._ema_chunk_s: Optional[float] = None
         self._chunk_t0: Optional[float] = None
         self._last_adjust = time.monotonic()
-        self.throttle_wait_s = 0.0
         self.rate_decreases = 0
         self.rate_increases = 0
+        self.throttle_wait_s = 0.0
         self.chunks_admitted = 0
 
-    # ------------------------------------------------------------------
-    # read side (called from serving threads)
-    # ------------------------------------------------------------------
-    def read_started(self) -> None:
-        with self._lock:
-            self._pending += 1
-            obs.gauge("serving.pending_reads", self._pending)
+    def board_p99_ms(self) -> float:
+        """Worst published p99 across shards with enough samples."""
+        served = self.board[:, BOARD_SERVED]
+        p99 = self.board[:, BOARD_P99_MS]
+        mask = served >= MIN_SERVED
+        return float(p99[mask].max()) if mask.any() else 0.0
 
-    def read_finished(self, latency_s: float) -> None:
-        self.window.record(latency_s)
-        with self._lock:
-            self._pending = max(0, self._pending - 1)
-        self._maybe_adjust()
+    def rate_floor(self) -> Optional[float]:
+        """Lowest rate that keeps per-chunk pacing within the bound."""
+        if not self._ema_chunk_s:
+            return None
+        return 1.0 / (self._ema_chunk_s * (1.0 + MAX_INFLATION))
 
-    @property
-    def pending_reads(self) -> int:
-        return self._pending
+    def _set_rate(self, rate: Optional[float]) -> None:
+        self.bucket.set_rate(rate)
+        gauge = rate if rate is not None else CEILING_FACTOR * self.rate_floor()
+        obs.gauge("serving.rebuild_rate", gauge)
 
-    # ------------------------------------------------------------------
-    # rebuild side (the pipeline's throttle / on_chunk hooks)
-    # ------------------------------------------------------------------
-    def before_chunk(self, chunk=None) -> float:
+    def _maybe_adjust(self) -> None:
+        if self.target_p99_ms is None:
+            return
+        now = time.monotonic()
+        if now - self._last_adjust < ADJUST_INTERVAL_S:
+            return
+        self._last_adjust = now
+        floor = self.rate_floor()
+        p99 = self.board_p99_ms()
+        if floor is None or p99 <= 0.0:
+            return
+        rate = self.bucket.rate
+        if p99 > self.target_p99_ms:
+            new_rate = floor if rate is None else max(floor, rate * DECREASE)
+            if rate is None or new_rate < rate:
+                self._set_rate(new_rate)
+                self.rate_decreases += 1
+                obs.count("serving.rate_decreases")
+        elif rate is not None and p99 <= RECOVER_FRACTION * self.target_p99_ms:
+            new_rate = rate * INCREASE
+            self._set_rate(None if new_rate >= CEILING_FACTOR * floor else new_rate)
+            self.rate_increases += 1
+            obs.count("serving.rate_increases")
+
+    def _max_chunk_wait(self) -> Optional[float]:
+        if self.target_p99_ms is None:
+            return None
+        if self._ema_chunk_s is None:
+            return FIRST_CHUNK_MAX_WAIT_S
+        return self._ema_chunk_s * MAX_INFLATION
+
+    def before_chunk(self) -> float:
         """Admission control for one rebuild chunk; returns seconds waited."""
         self._maybe_adjust()
         waited = self.bucket.acquire(1.0, max_wait=self._max_chunk_wait())
@@ -238,89 +234,32 @@ class QosController:
         self._chunk_t0 = time.monotonic()
         return waited
 
-    def after_chunk(self, chunk=None, rows=None) -> None:
-        """Fold one finished chunk's duration into the EMA and re-floor."""
-        t0 = self._chunk_t0
-        if t0 is None:
+    def after_chunk(self) -> None:
+        """Fold the finished chunk's duration into the EMA and re-floor."""
+        if self._chunk_t0 is None:
             return
-        dur = time.monotonic() - t0
-        with self._lock:
-            if self._ema_chunk_s is None:
-                self._ema_chunk_s = dur
-            else:
-                self._ema_chunk_s = 0.7 * self._ema_chunk_s + 0.3 * dur
-            floor = self._rate_floor_locked()
-            rate = self.bucket.rate
-            if rate is not None and floor is not None and rate < floor:
-                self.bucket.set_rate(floor)
-                obs.gauge("serving.rebuild_rate", floor)
-
-    def _rate_floor_locked(self) -> Optional[float]:
-        if self._ema_chunk_s is None or self._ema_chunk_s <= 0:
-            return None
-        return 1.0 / (self._ema_chunk_s * (1.0 + self.max_inflation))
-
-    def _max_chunk_wait(self) -> float:
-        """Hard cap on one chunk's pacing delay (controller-bug backstop)."""
-        with self._lock:
-            ema = self._ema_chunk_s
-        if ema is None:
-            return 0.05
-        return ema * self.max_inflation
-
-    # ------------------------------------------------------------------
-    # the feedback loop
-    # ------------------------------------------------------------------
-    def _maybe_adjust(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            if now - self._last_adjust < self.adjust_interval_s:
-                return
-            self._last_adjust = now
-            floor = self._rate_floor_locked()
-            pending = self._pending
-        if len(self.window) < self.min_samples or floor is None:
+        dur = time.monotonic() - self._chunk_t0
+        if self._ema_chunk_s is None:
+            self._ema_chunk_s = dur
+        else:
+            self._ema_chunk_s += EMA_WEIGHT * (dur - self._ema_chunk_s)
+        if self.target_p99_ms is None:
             return
-        p99_ms = self.window.percentile(0.99) * 1e3
-        obs.gauge("serving.read_p99_ms", p99_ms)
-        obs.gauge("serving.read_p50_ms", self.window.percentile(0.5) * 1e3)
+        floor = self.rate_floor()
         rate = self.bucket.rate
-        ceiling = 20.0 * floor
-        if p99_ms > self.target_p99_ms:
-            new_rate = floor if rate is None else max(floor, rate * self.decrease)
-            if rate is None or new_rate < rate:
-                self.bucket.set_rate(new_rate)
-                self.rate_decreases += 1
-                obs.count("serving.rate_decreases")
-                obs.gauge("serving.rebuild_rate", new_rate)
-        elif (
-            pending == 0
-            and p99_ms <= self.recover_fraction * self.target_p99_ms
-            and rate is not None
-        ):
-            new_rate = rate * self.increase
-            if new_rate >= ceiling:
-                self.bucket.set_rate(None)
-                obs.gauge("serving.rebuild_rate", ceiling)
-            else:
-                self.bucket.set_rate(new_rate)
-                obs.gauge("serving.rebuild_rate", new_rate)
-            self.rate_increases += 1
-            obs.count("serving.rate_increases")
+        if rate is not None and floor is not None and rate < floor:
+            self._set_rate(floor)
 
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        """Controller state snapshot for reports and benchmarks."""
+    def stats(self) -> Dict[str, Optional[float]]:
+        """Throttle state snapshot for reports and benchmarks."""
         rate = self.bucket.rate
         return {
             "target_p99_ms": self.target_p99_ms,
-            "read_p50_ms": self.window.percentile(0.5) * 1e3,
-            "read_p99_ms": self.window.percentile(0.99) * 1e3,
-            "samples": len(self.window),
             "rebuild_rate": rate if rate is not None else float("inf"),
             "ema_chunk_ms": (self._ema_chunk_s or 0.0) * 1e3,
-            "throttle_wait_s": self.throttle_wait_s,
             "rate_decreases": self.rate_decreases,
             "rate_increases": self.rate_increases,
+            "throttle_wait_s": self.throttle_wait_s,
             "chunks_admitted": self.chunks_admitted,
+            "board_p99_ms": self.board_p99_ms(),
         }

@@ -1,13 +1,12 @@
-"""Sharded serving engine: stripe-range worker processes over shared memory.
+"""The serving engine: stripe-range shard workers over shared memory.
 
-The single-process :class:`~repro.serving.engine.ServingEngine` tops out
-at one interpreter's request rate — its single-flight table, patched
-image and frontier bitmap are all process-local.  This module shards the
-serving plane by **stripe range**: shard *i* owns stripes
+Reads are answered against an array whose failed disk is being rebuilt,
+byte-exactly and under a latency objective.  The serving plane is
+sharded by **stripe range**: shard *i* owns stripes
 ``[bounds[i], bounds[i+1])`` of the array (its own declustered spindle
 group under the simulated I/O model) and serves its slice of the global
-open-loop trace in a dedicated worker process.  What used to be shared
-mutable state becomes:
+open-loop trace in a dedicated worker process.  One shard is the
+single-process case.  Shared state is:
 
 * the pristine disk images and the rebuilt-row *patch map* in named
   shared memory (:class:`~repro.serving.shm.SharedServingState`);
@@ -18,18 +17,24 @@ mutable state becomes:
   never serves a torn row);
 * the degraded **plan map** as the persistent
   :class:`~repro.recovery.plancache.SchemePlanCache` store, warmed by the
-  parent before forking so workers start search-free;
-* single-flight coalescing generalized to **batch coalescing**: a shard
-  drains every overdue request in one scoop and groups degraded reads by
-  ``(logical role, row)``.  All stripes where the failed physical disk
-  plays the same logical role share one rotation, hence one physical
-  mapping — so the whole group is gathered with vectorized indexing and
-  reconstructed in a single batched-XOR kernel call
-  (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`).
+  parent before forking so workers start search-free.
 
-QoS inverts too: instead of an in-process AIMD controller fed by every
-read, the parent steers rebuild admission with :class:`BoardThrottle` on
-the shared latency *board* each shard publishes its p99 to.
+A shard drains every overdue request in one scoop and groups degraded
+reads by ``(logical role, row)``.  All stripes where the failed physical
+disk plays the same logical role share one rotation, hence one physical
+mapping — so the whole group is gathered with vectorized indexing and
+reconstructed in a single batched-XOR kernel call
+(:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`).  With
+a :class:`~repro.faults.plan.FaultPlan`, degraded groups instead run
+stripe by stripe through the
+:class:`~repro.recovery.resilient.ResilientExecutor` ladder (retry →
+substitute), so latent sector errors and silent corruption on surviving
+disks do not break byte-exactness.
+
+QoS: the parent steers rebuild admission with
+:class:`~repro.serving.qos.RebuildThrottle` on the shared latency *board*
+each shard publishes its p99 to, with a rate floor set by the parent's
+own chunk timings.
 
 Every degraded and patched answer is verified against the pristine bytes
 in shared memory (the failed disk's true rows, never used as a recovery
@@ -55,13 +60,17 @@ import numpy as np
 from repro import obs
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
+from repro.faults.plan import FaultPlan
+from repro.faults.store import FaultyStripeStore
 from repro.pipeline.engine import RebuildPipeline, RebuildResult
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
+from repro.recovery.resilient import ResilientExecutor
+from repro.recovery.scheme import RecoveryScheme
 from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
 from repro.serving.iomodel import NullIoModel, SimulatedDisksIoModel
 from repro.serving.plans import CompiledPlanCache, DegradedPlanCache
-from repro.serving.qos import TokenBucket, percentile
+from repro.serving.qos import RebuildThrottle, percentile
 from repro.serving.shm import (
     BOARD_BACKLOG,
     BOARD_DEGRADED,
@@ -83,102 +92,50 @@ def _mp_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class BoardThrottle:
-    """Rebuild admission steering on the shared per-shard latency board.
+#: resilient-executor read retries on the fault path
+MAX_RETRIES = 1
 
-    The parent cannot see individual read latencies (they happen in the
-    shard processes), so it steers on what the shards publish: the worst
-    per-shard p99 on the board.  Classic AIMD around a token bucket —
-    over target halves the chunk rate, comfortably under target ramps it
-    back — with a hard rate floor so the rebuild always completes.
-    """
 
-    def __init__(
-        self,
-        board: np.ndarray,
-        target_p99_ms: Optional[float] = None,
-        rate: Optional[float] = None,
-        floor_rate: float = 2.0,
-        decrease: float = 0.5,
-        increase: float = 1.2,
-        adjust_interval_s: float = 0.05,
-        min_served: int = 32,
-    ) -> None:
-        if target_p99_ms is not None and target_p99_ms <= 0:
-            raise ValueError(f"target_p99_ms must be positive, got {target_p99_ms}")
-        if floor_rate <= 0:
-            raise ValueError(f"floor_rate must be positive, got {floor_rate}")
-        self.board = board
-        self.target_p99_ms = target_p99_ms
-        self.floor_rate = floor_rate
-        self.decrease = decrease
-        self.increase = increase
-        self.adjust_interval_s = adjust_interval_s
-        self.min_served = min_served
-        self.bucket = TokenBucket(rate=rate)
-        self._last_adjust = time.monotonic()
-        self.rate_decreases = 0
-        self.rate_increases = 0
-        self.throttle_wait_s = 0.0
-        self.chunks_admitted = 0
+def check_addresses(
+    disks: np.ndarray, rows: np.ndarray, n_disks: int, row_lo: int, row_hi: int
+) -> None:
+    """Raise ``IndexError`` unless every ``disks[i]`` is in ``[0, n_disks)``
+    and every ``rows[i]`` in ``[row_lo, row_hi)``."""
+    if not len(rows):
+        return
+    bad_disk = (disks < 0) | (disks >= n_disks)
+    if bad_disk.any():
+        raise IndexError(f"disk {disks[bad_disk][0]} out of range")
+    bad_row = (rows < row_lo) | (rows >= row_hi)
+    if bad_row.any():
+        raise IndexError(
+            f"row {rows[bad_row][0]} out of range [{row_lo}, {row_hi})"
+        )
 
-    def board_p99_ms(self) -> float:
-        """Worst published p99 across shards with enough samples."""
-        served = self.board[:, BOARD_SERVED]
-        p99 = self.board[:, BOARD_P99_MS]
-        mask = served >= self.min_served
-        return float(p99[mask].max()) if mask.any() else 0.0
 
-    def _maybe_adjust(self) -> None:
-        if self.target_p99_ms is None:
-            return
-        now = time.monotonic()
-        if now - self._last_adjust < self.adjust_interval_s:
-            return
-        self._last_adjust = now
-        p99 = self.board_p99_ms()
-        if p99 <= 0.0:
-            return
-        rate = self.bucket.rate
-        if p99 > self.target_p99_ms:
-            new_rate = (
-                self.floor_rate
-                if rate is None
-                else max(self.floor_rate, rate * self.decrease)
-            )
-            if rate is None or new_rate < rate:
-                self.bucket.set_rate(new_rate)
-                self.rate_decreases += 1
-                obs.count("serving.board_rate_decreases")
-        elif rate is not None and p99 <= 0.8 * self.target_p99_ms:
-            new_rate = rate * self.increase
-            if new_rate >= 50.0 * self.floor_rate:
-                self.bucket.set_rate(None)
-            else:
-                self.bucket.set_rate(new_rate)
-            self.rate_increases += 1
-            obs.count("serving.board_rate_increases")
+class _StripeView:
+    """Single-stripe adapter presenting one parent-store stripe as a
+    one-stripe :class:`FaultyStripeStore` to the resilient executor."""
 
-    def before_chunk(self, chunk=None) -> float:
-        """Admission control for one rebuild chunk; returns seconds waited."""
-        self._maybe_adjust()
-        waited = self.bucket.acquire(1.0, max_wait=2.0 / self.floor_rate)
-        if waited:
-            self.throttle_wait_s += waited
-            obs.count("serving.board_throttle_wait_ms", int(waited * 1e3))
-        self.chunks_admitted += 1
-        return waited
+    def __init__(self, parent: FaultyStripeStore, stripe: int) -> None:
+        self._parent = parent
+        self._stripe = stripe
+        self.layout = parent.layout
+        self.stripes = [parent.stripes[stripe]]
 
-    def stats(self) -> Dict[str, float]:
-        rate = self.bucket.rate
-        return {
-            "rebuild_rate": rate if rate is not None else float("inf"),
-            "rate_decreases": self.rate_decreases,
-            "rate_increases": self.rate_increases,
-            "throttle_wait_s": self.throttle_wait_s,
-            "chunks_admitted": self.chunks_admitted,
-            "board_p99_ms": self.board_p99_ms(),
-        }
+    @property
+    def n_stripes(self) -> int:
+        return 1
+
+    @property
+    def total_read_attempts(self) -> int:
+        return self._parent.total_read_attempts
+
+    def read(self, stripe: int, eid: int) -> np.ndarray:
+        return self._parent.read(self._stripe, eid)
+
+    def checksum(self, stripe: int, eid: int) -> int:
+        return self._parent.checksum(self._stripe, eid)
 
 
 class ShardServer:
@@ -187,7 +144,9 @@ class ShardServer:
     Owns stripes ``[stripe_lo, stripe_hi)``; serves direct, patched and
     batched degraded reads against numpy views (shared-memory or plain
     arrays — the code cannot tell), verifying every reconstructed or
-    patched answer against the pristine image.
+    patched answer against the pristine image.  A non-empty
+    ``fault_plan`` (logical disk/row/stripe coordinates) injects faults
+    on the degraded path, which then runs through the resilient executor.
     """
 
     def __init__(
@@ -202,6 +161,7 @@ class ShardServer:
         io: Optional[NullIoModel] = None,
         priority: bool = True,
         max_batch: int = 512,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         lay = codec.code.layout
         if not 0 <= failed_disk < lay.n_disks:
@@ -227,10 +187,18 @@ class ShardServer:
         self._k = lay.k_rows
         self._n = lay.n_disks
         self._rebuilt = np.zeros(codec.n_stripes, dtype=bool)
+        self.fault_store: Optional[FaultyStripeStore] = None
+        if fault_plan:
+            self.fault_store = FaultyStripeStore(
+                lay,
+                [codec._logical_stripe(disks, s) for s in range(codec.n_stripes)],
+                fault_plan,
+            )
         self.n_direct = 0
         self.n_patched = 0
         self.n_degraded = 0
         self.n_batches = 0
+        self.n_resilient = 0
         self.mismatches = 0
 
     # ------------------------------------------------------------------
@@ -317,7 +285,6 @@ class ShardServer:
         esz = self.codec.element_size
         for (role, r), idxs in degraded.items():
             plan = self.plans.plan_for_element(role, r)
-            recon = self.compiled.reconstructor(plan)
             stripes = rows[idxs] // k
             base = stripes * k
             rot = (self.failed_disk - role) % self._n
@@ -326,15 +293,19 @@ class ShardServer:
                 if load:
                     per_disk[(ldisk + rot) % self._n] = load * len(idxs)
             self.io.read_elements(per_disk, priority=self.priority)
-            batch = np.zeros((len(idxs), lay.n_elements, esz), dtype=np.uint8)
-            for ldisk, lrow in lay.iter_elements(plan.read_mask):
-                phys = (ldisk + rot) % self._n
-                batch[:, lay.eid(ldisk, lrow), :] = self.disks[phys, base + lrow]
-            out = np.empty((len(idxs), len(plan.failed_eids), esz), dtype=np.uint8)
-            recon.recover_batch_into(batch, out)
+            if self.fault_store is not None:
+                answer = self._recover_resilient(plan, stripes, lay.eid(role, r))
+            else:
+                batch = np.zeros((len(idxs), lay.n_elements, esz), dtype=np.uint8)
+                for ldisk, lrow in lay.iter_elements(plan.read_mask):
+                    phys = (ldisk + rot) % self._n
+                    batch[:, lay.eid(ldisk, lrow), :] = self.disks[phys, base + lrow]
+                out = np.empty(
+                    (len(idxs), len(plan.failed_eids), esz), dtype=np.uint8
+                )
+                self.compiled.reconstructor(plan).recover_batch_into(batch, out)
+                answer = out[:, plan.failed_eids.index(lay.eid(role, r)), :]
             done = time.monotonic()
-            slot = plan.failed_eids.index(lay.eid(role, r))
-            answer = out[:, slot, :]
             self.mismatches += int(
                 np.any(answer != self.disks[self.failed_disk, base + r], axis=1)
                 .sum()
@@ -347,11 +318,43 @@ class ShardServer:
         self.n_batches += 1
         return completions, data
 
+    def _check_addresses(self, disks: np.ndarray, rows: np.ndarray) -> None:
+        check_addresses(
+            disks, rows, self._n, self.stripe_lo * self._k, self.stripe_hi * self._k
+        )
+
+    def _recover_resilient(
+        self, plan: RecoveryScheme, stripes: np.ndarray, eid: int
+    ) -> np.ndarray:
+        """Element ``eid`` of each stripe through the resilient executor
+        (one run per distinct stripe)."""
+        planner = self.plans.planner
+        answer = np.empty((len(stripes), self.codec.element_size), dtype=np.uint8)
+        done: Dict[int, np.ndarray] = {}
+        for pos, s in enumerate(stripes.tolist()):
+            if s not in done:
+                executor = ResilientExecutor(
+                    self.codec.code,
+                    plan,
+                    _StripeView(self.fault_store, s),
+                    max_retries=MAX_RETRIES,
+                    algorithm=(
+                        planner.algorithm
+                        if planner.algorithm in ("khan", "u")
+                        else "u"
+                    ),
+                    depth=max(planner.depth, 2),
+                )
+                done[s] = executor.run().recovered[0][eid]
+                self.n_resilient += 1
+            answer[pos] = done[s]
+        return answer
+
     def read(self, disk: int, row: int) -> np.ndarray:
         """Serve one request (test/CLI convenience; the trace loop batches)."""
-        _, data = self._serve_batch(
-            np.asarray([disk]), np.asarray([row]), want_data=True
-        )
+        disks, rows = np.asarray([disk]), np.asarray([row])
+        self._check_addresses(disks, rows)
+        _, data = self._serve_batch(disks, rows, want_data=True)
         return data[0].copy()
 
     # ------------------------------------------------------------------
@@ -408,6 +411,7 @@ class ShardServer:
         request into one batch — under backlog the batch grows, the
         grouped reconstruction amortizes, and the shard catches up.
         """
+        self._check_addresses(disks, rows)
         n = len(arrival_s)
         lat = np.empty(n, dtype=np.float64)
         served = 0
@@ -444,6 +448,7 @@ class ShardServer:
         obs.count("serving.direct", self.n_direct)
         obs.count("serving.patched", self.n_patched)
         obs.count("serving.batches", self.n_batches)
+        obs.count("serving.resilient", self.n_resilient)
         samples = lat[:served]
         return {
             "served": served,
@@ -452,6 +457,7 @@ class ShardServer:
             "patched": self.n_patched,
             "degraded": self.n_degraded,
             "batches": self.n_batches,
+            "resilient": self.n_resilient,
             "duration_s": max(t_end - t_start, 1e-9),
             "latencies": samples,
             "p50_ms": percentile(samples.tolist(), 0.5) * 1e3,
@@ -508,6 +514,7 @@ def _shard_main(
             plans=plans,
             io=io,
             priority=bool(cfg.get("priority", True)),
+            fault_plan=cfg.get("fault_plan"),
         )
         arr, d, r = trace
         res = server.serve_trace(
@@ -547,6 +554,8 @@ class ShardedReport:
     rebuild_wall_s: Optional[float]
     per_shard: List[Dict[str, object]] = field(default_factory=list)
     throttle: Dict[str, float] = field(default_factory=dict)
+    #: rebuilt image == the failed disk's pristine bytes (None: no rebuild)
+    rebuild_byte_exact: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -554,21 +563,27 @@ class ShardedReport:
             self.mismatches == 0
             and not self.errors
             and self.n_shards == self.requested_shards
+            and self.rebuild_byte_exact is not False
         )
 
 
 class ShardedServingEngine:
     """Parent orchestrator: shared state + shard workers + inline rebuild.
 
-    Parameters mirror :class:`~repro.serving.engine.ServingEngine` where
-    they overlap; ``n_shards`` must be >= 1 (counts beyond ``n_stripes``
-    leave the surplus shards idle with empty stripe ranges), and a worker
-    that dies raises ``RuntimeError`` from :meth:`serve_trace` (no silent
-    degradation).  ``element_read_ms=None`` disables the simulated I/O
-    model (memory speed; correctness tests).  Each shard gets its *own*
-    simulated spindle group, which is the declustered-placement reading of
-    the paper's scale-out story: aggregate service capacity grows with the
-    shard count while any single shard still bounds its own queueing.
+    ``n_shards`` must be >= 1 (counts beyond ``n_stripes`` leave the
+    surplus shards idle with empty stripe ranges), and a worker that dies
+    raises ``RuntimeError`` from :meth:`serve_trace` (no silent
+    degradation).  ``target_p99_ms`` turns on the board throttle
+    (:class:`~repro.serving.qos.RebuildThrottle`); without it the rebuild
+    runs at the fixed ``rebuild_rate`` chunks/s (``None``: uncapped).
+    ``priority`` gives reads preempting I/O priority over rebuild chunks.
+    ``fault_plan`` injects faults on every shard's degraded path, served
+    through the resilient executor.  ``element_read_ms=None`` disables
+    the simulated I/O model (memory speed; correctness tests).  Each
+    shard gets its *own* simulated spindle group, which is the
+    declustered-placement reading of the paper's scale-out story:
+    aggregate service capacity grows with the shard count while any
+    single shard still bounds its own queueing.
     ``placement`` (a :class:`~repro.placement.PlacementMap` over the same
     stripe count) aligns the shard bounds to placement-group boundaries,
     so one shard maps onto whole placement groups and never splits one.
@@ -591,6 +606,7 @@ class ShardedServingEngine:
         rebuild_chunk_stripes: int = 16,
         priority: bool = True,
         placement=None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         lay = codec.code.layout
         if not 0 <= failed_disk < lay.n_disks:
@@ -621,6 +637,7 @@ class ShardedServingEngine:
         self.rebuild_rate = rebuild_rate
         self.rebuild_chunk_stripes = rebuild_chunk_stripes
         self.priority = priority
+        self.fault_plan = fault_plan
         store = SchemePlanCache(store_path) if store_path else None
         self.planner = RecoveryPlanner(
             codec.code, algorithm=algorithm, depth=depth, plan_cache=store
@@ -672,6 +689,10 @@ class ShardedServingEngine:
         recording is enabled in the parent.
         """
         arr, dks, rws = trace_arrays(requests)
+        check_addresses(
+            dks, rws, self.codec.code.layout.n_disks, 0,
+            self.codec.n_stripes * self._k,
+        )
         parts = partition_trace(
             rws, self._k, self.codec.n_stripes, self.n_shards,
             bounds=self.bounds,
@@ -694,7 +715,7 @@ class ShardedServingEngine:
         errors: List[str] = []
         results_by_shard: Dict[int, Dict[str, object]] = {}
         throttle_stats: Dict[str, float] = {}
-        throttle = BoardThrottle(
+        throttle = RebuildThrottle(
             state.board,
             target_p99_ms=self.target_p99_ms,
             rate=self.rebuild_rate,
@@ -716,6 +737,7 @@ class ShardedServingEngine:
                 "priority": self.priority,
                 "obs": obs.enabled(),
                 "plans": warmed_plans,
+                "fault_plan": self.fault_plan,
             }
             t_start = time.monotonic() + startup_grace_s + 0.1 * self.n_shards
             for i in range(self.n_shards):
@@ -810,6 +832,7 @@ class ShardedServingEngine:
         lat = np.concatenate(all_lat) if all_lat else np.empty(0)
         span = float(arr[-1] - arr[0]) if len(arr) > 1 else 0.0
         served = int(sum(r["served"] for r in per_shard))
+        result = rebuild_result[0]
         return ShardedReport(
             requested_shards=self.n_shards,
             n_shards=len(results_by_shard),
@@ -825,6 +848,11 @@ class ShardedServingEngine:
             rebuild_wall_s=rebuild_wall[0],
             per_shard=per_shard,
             throttle=throttle_stats,
+            rebuild_byte_exact=(
+                None
+                if result is None
+                else bool(np.array_equal(result.image, self.disks[self.failed_disk]))
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -832,7 +860,7 @@ class ShardedServingEngine:
         self,
         state: SharedServingState,
         ctrls,
-        throttle: BoardThrottle,
+        throttle: RebuildThrottle,
         t_start: float,
         out_result,
         out_error,
@@ -844,7 +872,7 @@ class ShardedServingEngine:
         erm = self.element_read_ms
 
         def _throttle(chunk) -> None:
-            throttle.before_chunk(chunk)
+            throttle.before_chunk()
             if erm is not None:
                 # the chunk's own disk service time: survivor reads fan
                 # out across spindles, so the chunk takes as long as its
@@ -866,6 +894,7 @@ class ShardedServingEngine:
                 ids = chunk.stripe_ids[shard_of == shard]
                 per_disk = self._frontier_per_disk(chunk, len(ids))
                 ctrls[int(shard)].put(("frontier", ids, per_disk))
+            throttle.after_chunk()
 
         pipe = RebuildPipeline(
             self.codec,

@@ -1,11 +1,9 @@
 """Shared-memory state for the sharded serving engine.
 
-The single-process :class:`~repro.serving.engine.ServingEngine` keeps its
-single-flight table, patched image and rebuild frontier as ordinary
-process memory guarded by locks.  Sharding the engine across worker
-processes replaces that with three named ``multiprocessing.shared_memory``
-blocks plus a picklable :class:`ServingStateSpec` that workers attach by
-name.  The creator unlinks; workers only close:
+The parent process and its shard workers share three named
+``multiprocessing.shared_memory`` blocks, described by a picklable
+:class:`ServingStateSpec` that workers attach by name.  The creator
+unlinks; workers only close:
 
 * **disks** — the pristine encoded per-disk images,
   ``n_disks x total_rows x element_size`` bytes, written once by the

@@ -1,166 +1,105 @@
-"""ServingEngine: byte-exact paths, coalescing, frontier races, faults."""
+"""In-process serving core (ShardServer): byte-exact paths, frontier
+races, address checks, faults."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.codec import ArrayImageCodec
-from repro.codes import make_code
 from repro.faults import FaultPlan
-from repro.serving import ServingEngine
-
-
-def build(family="rdp", n_disks=7, element_size=16, n_stripes=12, seed=7):
-    code = make_code(family, n_disks)
-    codec = ArrayImageCodec(code, element_size=element_size, n_stripes=n_stripes)
-    disks = codec.encode_image(codec.random_image(np.random.default_rng(seed)))
-    return codec, disks
+from repro.serving import ShardServer, ShardedServingEngine
+from tests.serving.shard_helpers import build, make_server, rebuild_frontier
 
 
 class TestReadPaths:
     def test_every_element_byte_exact_without_rebuild(self):
         codec, disks = build()
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=2)
+        server = make_server(codec, disks, failed_disk=2)
         lay = codec.code.layout
         for disk in range(lay.n_disks):
             for row in range(codec.n_stripes * lay.k_rows):
                 assert np.array_equal(
-                    engine.read(disk, row), original[disk, row]
+                    server.read(disk, row), original[disk, row]
                 ), (disk, row)
-        stats = engine.stats()
-        assert stats["degraded"] == codec.n_stripes * lay.k_rows
-        assert stats["patched"] == 0
+        assert server.n_degraded == codec.n_stripes * lay.k_rows
+        assert server.n_patched == 0
+        assert server.mismatches == 0
 
     @pytest.mark.parametrize("family,n", [("evenodd", 7), ("cauchy_rs", 8)])
     def test_other_families(self, family, n):
         codec, disks = build(family, n, n_stripes=6)
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=1)
+        server = make_server(codec, disks, failed_disk=1)
         lay = codec.code.layout
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(1, row), original[1, row]), row
+            assert np.array_equal(server.read(1, row), original[1, row]), row
 
     def test_rejects_out_of_range(self):
         codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
+        server = make_server(codec, disks, failed_disk=0)
+        for disk, row in ((99, 0), (-1, 0), (0, 10**6), (0, -1)):
+            with pytest.raises(IndexError):
+                server.read(disk, row)
+        assert server.mismatches == 0
         with pytest.raises(IndexError):
-            engine.read(99, 0)
-        with pytest.raises(IndexError):
-            engine.read(0, 10**6)
-        with pytest.raises(IndexError):
-            ServingEngine(codec, disks, failed_disk=42)
+            make_server(codec, disks, failed_disk=42)
+        # rows outside the shard's own stripe range are not served either
+        k = codec.code.layout.k_rows
+        total_rows = codec.n_stripes * k
+        patched = np.zeros((total_rows, codec.element_size), dtype=np.uint8)
+        shard = ShardServer(codec, disks, patched, 0, stripe_lo=2, stripe_hi=5)
+        assert np.array_equal(shard.read(0, 2 * k), disks[0, 2 * k])
+        for row in (2 * k - 1, 5 * k):
+            with pytest.raises(IndexError):
+                shard.read(0, row)
 
     def test_rejects_wrong_shape(self):
         codec, disks = build()
         with pytest.raises(ValueError):
-            ServingEngine(codec, disks[:, :-1], failed_disk=0)
+            ShardedServingEngine(codec, disks[:, :-1], failed_disk=0, n_shards=1)
 
 
 class TestRebuildIntegration:
     def test_reads_race_rebuild_and_stay_exact(self):
         codec, disks = build(n_stripes=24)
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=0)
+        server = make_server(codec, disks, failed_disk=0)
         lay = codec.code.layout
         total_rows = codec.n_stripes * lay.k_rows
+        done = threading.Event()
+        result = []
+
+        def rebuild():
+            try:
+                result.append(rebuild_frontier(server, chunk_stripes=4))
+            finally:
+                done.set()
+
+        thread = threading.Thread(target=rebuild)
+        thread.start()
+        rng = np.random.default_rng(0)
         mismatches = []
-
-        def reader(seed):
-            rng = np.random.default_rng(seed)
-            while not engine.rebuild_done.is_set():
-                row = int(rng.integers(total_rows))
-                if not np.array_equal(engine.read(0, row), original[0, row]):
-                    mismatches.append(row)
-
-        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        engine.start_rebuild(chunk_stripes=4)
-        assert engine.wait_rebuild(timeout=60.0)
-        for t in threads:
-            t.join(timeout=30.0)
+        while not done.is_set():
+            row = int(rng.integers(total_rows))
+            if not np.array_equal(server.read(0, row), original[0, row]):
+                mismatches.append(row)
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
         assert not mismatches
-        assert np.array_equal(engine.rebuild_result.image, original[0])
+        assert server.mismatches == 0
+        assert np.array_equal(result[0].image, original[0])
 
     def test_post_rebuild_reads_served_from_patch(self):
         codec, disks = build()
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=3)
-        engine.start_rebuild(chunk_stripes=4)
-        assert engine.wait_rebuild(timeout=60.0)
+        server = make_server(codec, disks, failed_disk=3)
+        rebuild_frontier(server, chunk_stripes=4)
         lay = codec.code.layout
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(3, row), original[3, row])
-        stats = engine.stats()
-        assert stats["patched"] == codec.n_stripes * lay.k_rows
-        assert stats["degraded"] == 0
-
-    def test_double_start_rejected(self):
-        codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        engine.start_rebuild(chunk_stripes=4)
-        with pytest.raises(RuntimeError):
-            engine.start_rebuild()
-        assert engine.wait_rebuild(timeout=60.0)
-
-
-class TestCoalescing:
-    def test_concurrent_same_stripe_reads_share_one_flight(self):
-        codec, disks = build()
-        original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        lay = codec.code.layout
-        gate = threading.Event()
-        real = engine._reconstruct_rows
-
-        def slow_reconstruct(s, rows):
-            gate.wait(timeout=30.0)
-            return real(s, rows)
-
-        engine._reconstruct_rows = slow_reconstruct
-        n_readers = 4
-        results = {}
-
-        def reader(row):
-            results[row] = engine.read(0, row)
-
-        # all rows land in stripe 0 -> one leader, three followers
-        threads = [
-            threading.Thread(target=reader, args=(row,))
-            for row in range(n_readers)
-        ]
-        threads[0].start()
-        deadline = time.monotonic() + 10.0
-        while not engine._flights and time.monotonic() < deadline:
-            time.sleep(0.001)  # leader registered its flight
-        for t in threads[1:]:
-            t.start()
-        deadline = time.monotonic() + 10.0
-        while engine.n_coalesced < n_readers - 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert engine.n_coalesced == n_readers - 1
-        gate.set()
-        for t in threads:
-            t.join(timeout=30.0)
-        for row in range(n_readers):
-            assert np.array_equal(results[row], original[0, row]), row
-        assert engine.n_flights <= 2  # one shared reconstruction (+1 racer)
-        assert lay.k_rows >= n_readers  # sanity: all rows in stripe 0
-
-    def test_flight_error_propagates_to_followers(self):
-        codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-
-        def boom(s, rows):
-            raise RuntimeError("injected reconstruction failure")
-
-        engine._reconstruct_rows = boom
-        with pytest.raises(RuntimeError):
-            engine.read(0, 0)
-        assert not engine._flights  # failed flight is cleaned up
+            assert np.array_equal(server.read(3, row), original[3, row])
+        assert server.n_patched == codec.n_stripes * lay.k_rows
+        assert server.n_degraded == 0
 
 
 class TestFaultPath:
@@ -172,26 +111,33 @@ class TestFaultPath:
         plan = FaultPlan.parse(
             [f"lse:1:0:{s}" for s in range(codec.n_stripes)]
         )
-        engine = ServingEngine(codec, disks, failed_disk=0, fault_plan=plan)
+        server = make_server(codec, disks, failed_disk=0, fault_plan=plan)
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(0, row), original[0, row]), row
-        assert engine.n_resilient > 0
+            assert np.array_equal(server.read(0, row), original[0, row]), row
+        assert server.n_resilient > 0
+        assert server.mismatches == 0
 
     def test_empty_fault_plan_uses_fast_path(self):
         codec, disks = build(n_stripes=4)
-        engine = ServingEngine(
+        server = make_server(
             codec, disks, failed_disk=0, fault_plan=FaultPlan.parse([])
         )
-        assert engine.fault_store is None
+        assert server.fault_store is None
+        server.read(0, 0)
+        assert server.n_resilient == 0
 
 
 class TestStats:
     def test_stats_shape(self):
         codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        engine.read(1, 0)
-        stats = engine.stats()
-        assert stats["reads"] == 1
-        assert stats["direct"] == 1
-        assert stats["rebuild_done"] is False
-        assert "qos" not in stats
+        server = make_server(codec, disks, failed_disk=0)
+        one = np.zeros(1)
+        res = server.serve_trace(
+            one, np.asarray([1]), np.asarray([0]), t_start=0.0
+        )
+        assert res["served"] == 1
+        assert res["direct"] == 1
+        for key in ("patched", "degraded", "batches", "resilient",
+                    "mismatches", "duration_s", "latencies", "p50_ms",
+                    "p99_ms", "plans_resident"):
+            assert key in res

@@ -1,16 +1,20 @@
-"""Open-loop frontend: trace arrays, shard partitioning, replay accounting."""
+"""Open-loop frontend: workload traces, trace arrays, shard partitioning,
+replay accounting."""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.disksim.workload import Request
 from repro.serving import (
-    OpenLoopReport,
+    SimulatedDisksIoModel,
+    build_workload_requests,
     partition_trace,
-    replay_open_loop,
     shard_bounds,
     trace_arrays,
 )
+from tests.serving.shard_helpers import build, make_server
 
 
 class TestTraceArrays:
@@ -117,60 +121,78 @@ class TestPartitionTrace:
             partition_trace(rows, 2, 8, n_shards, bounds=np.asarray(bounds))
 
 
+class TestBuildWorkloadRequests:
+    def test_hotspot_count_rate_and_skew(self):
+        reqs = build_workload_requests(
+            "hotspot", 7, 600, failed_disk=2, count=500, rate_per_s=1000.0
+        )
+        assert len(reqs) == 500
+        assert all(0 <= r.disk < 7 and 0 <= r.row < 600 for r in reqs)
+        assert sum(r.disk == 2 for r in reqs) > 0.7 * len(reqs)
+
+    def test_sequential_scans_the_failed_disk(self):
+        reqs = build_workload_requests(
+            "sequential", 7, 600, failed_disk=3, count=50, rate_per_s=100.0
+        )
+        assert [r.row for r in reqs] == list(range(50))
+        assert {r.disk for r in reqs} == {3}
+
+    @pytest.mark.parametrize(
+        "kind,count,rate", [("zipf", 10, 1.0), ("hotspot", 0, 1.0),
+                            ("hotspot", 10, 0.0)]
+    )
+    def test_rejects_bad_arguments(self, kind, count, rate):
+        with pytest.raises(ValueError):
+            build_workload_requests(kind, 7, 60, 0, count, rate_per_s=rate)
+
+
 class TestReplayOpenLoop:
-    def _trace(self, n, rate):
+    """``ShardServer.serve_trace``: the open-loop replay loop."""
+
+    def _trace(self, n, rate, disk=1):
         arr = np.arange(n) / rate
-        disks = np.zeros(n, dtype=np.int64)
+        disks = np.full(n, disk, dtype=np.int64)
         rows = np.arange(n, dtype=np.int64)
         return arr, disks, rows
 
     def test_serves_all_and_verifies(self):
-        arr, disks, rows = self._trace(50, rate=5000.0)
-        expected = np.arange(50, dtype=np.uint8).reshape(1, 50, 1)
-
-        def read_fn(disk, row):
-            return expected[disk, row]
-
-        report = replay_open_loop(read_fn, arr, disks, rows, expected=expected)
-        assert isinstance(report, OpenLoopReport)
-        assert report.ok
-        assert report.served == 50
-        assert report.p99_ms >= report.p50_ms >= 0.0
+        codec, disks = build()
+        server = make_server(codec, disks, failed_disk=0)
+        arr, dks, rows = self._trace(50, rate=5000.0, disk=0)
+        res = server.serve_trace(arr, dks, rows, t_start=time.monotonic())
+        assert res["served"] == 50
+        assert res["mismatches"] == 0
+        assert res["degraded"] == 50
+        assert res["p99_ms"] >= res["p50_ms"] >= 0.0
 
     def test_counts_mismatches(self):
-        arr, disks, rows = self._trace(10, rate=5000.0)
-        expected = np.zeros((1, 10, 1), dtype=np.uint8)
-
-        def read_fn(disk, row):
-            return np.asarray([1 if row == 3 else 0], dtype=np.uint8)
-
-        report = replay_open_loop(read_fn, arr, disks, rows, expected=expected)
-        assert report.mismatches == 1
-        assert not report.ok
+        codec, disks = build()
+        server = make_server(codec, disks, failed_disk=0)
+        k = codec.code.layout.k_rows
+        # stripe 0 "rebuilt" with one wrong row in the patch map
+        server.patched[:k] = disks[0, :k]
+        server.patched[3] ^= 0xFF
+        server.note_rebuilt(np.asarray([0]))
+        arr, dks, rows = self._trace(10, rate=5000.0, disk=0)
+        res = server.serve_trace(arr, dks, rows, t_start=time.monotonic())
+        assert res["served"] == 10
+        assert res["mismatches"] == 1
 
     def test_error_stops_replay_loudly(self):
-        arr, disks, rows = self._trace(10, rate=5000.0)
-
-        def read_fn(disk, row):
-            if row == 4:
-                raise RuntimeError("disk on fire")
-            return np.zeros(1, dtype=np.uint8)
-
-        report = replay_open_loop(read_fn, arr, disks, rows)
-        assert report.served == 4
-        assert report.errors and "disk on fire" in report.errors[0]
-        assert not report.ok
+        codec, disks = build(n_stripes=2)
+        server = make_server(codec, disks, failed_disk=0)
+        arr, dks, rows = self._trace(20, rate=5000.0)  # rows past the array
+        with pytest.raises(IndexError):
+            server.serve_trace(arr, dks, rows, t_start=time.monotonic())
+        assert server.n_batches == 0
 
     def test_latency_includes_queue_wait(self):
         """A slow server must push later requests' latency up (open loop)."""
-        import time
-
-        arr, disks, rows = self._trace(6, rate=1000.0)  # 1ms spacing
-
-        def read_fn(disk, row):
-            time.sleep(0.01)  # 10ms service >> 1ms inter-arrival
-            return np.zeros(1, dtype=np.uint8)
-
-        report = replay_open_loop(read_fn, arr, disks, rows)
-        # last request queued behind ~5 earlier 10ms services
-        assert report.p99_ms > 30.0
+        codec, disks = build()
+        io = SimulatedDisksIoModel(codec.code.layout.n_disks, element_read_ms=10.0)
+        server = make_server(codec, disks, failed_disk=0, io=io)
+        # 1 ms spacing against 10 ms service on one spindle
+        arr, dks, rows = self._trace(6, rate=1000.0)
+        res = server.serve_trace(arr, dks, rows, t_start=time.monotonic())
+        # later requests queued behind ~5 earlier 10 ms services
+        assert res["p99_ms"] > 30.0

@@ -6,7 +6,12 @@ import pytest
 from repro import obs
 from repro.codec import StripeCodec
 from repro.codes import RdpCode
-from repro.recovery import RecoveryPlanner, SchemePlanCache, serve_degraded_read
+from repro.recovery import (
+    RecoveryPlanner,
+    SchemePlanCache,
+    serve_degraded_read,
+    slice_degraded_plan,
+)
 from repro.serving import DegradedPlanCache
 
 
@@ -36,7 +41,7 @@ class TestPlanCorrectness:
     def test_multi_row_plan_covers_all_rows(self, rdp7):
         cache = DegradedPlanCache(rdp7)
         lay = rdp7.layout
-        plan = cache.plan_for_rows(0, [0, 3, 5])
+        plan = slice_degraded_plan(cache.planner.scheme_for_disk(0), [0, 3, 5])
         plan.validate(rdp7)
         for row in (0, 3, 5):
             assert lay.eid(0, row) in plan.failed_eids

@@ -1,4 +1,5 @@
-"""Sharded serving engine: shard core correctness, throttle, full mp runs."""
+"""Sharded serving engine: shard core correctness, shared state, full mp
+runs (including the fault path)."""
 
 import numpy as np
 import pytest
@@ -7,17 +8,9 @@ from repro import obs
 from repro.codec import ArrayImageCodec
 from repro.codes import make_code
 from repro.disksim.workload import Request
-from repro.serving import (
-    BoardThrottle,
-    ShardServer,
-    ShardedServingEngine,
-)
-from repro.serving.shm import (
-    BOARD_FIELDS,
-    BOARD_P99_MS,
-    BOARD_SERVED,
-    SharedServingState,
-)
+from repro.faults import FaultPlan
+from repro.serving import RebuildThrottle, ShardServer, ShardedServingEngine
+from repro.serving.shm import BOARD_SERVED, SharedServingState
 
 
 def build(family="rdp", n_disks=7, element_size=16, n_stripes=12, seed=7):
@@ -168,59 +161,15 @@ class TestShardServer:
 
 
 class TestBoardThrottle:
-    def _board(self, n_shards=2):
-        return np.zeros((n_shards, BOARD_FIELDS), dtype=np.float64)
-
-    def test_worst_p99_ignores_underreporting_shards(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        board[0, BOARD_P99_MS] = 5.0
-        board[1, BOARD_SERVED] = 3  # < min_served: not trusted yet
-        board[1, BOARD_P99_MS] = 500.0
-        throttle = BoardThrottle(board, target_p99_ms=10.0)
-        assert throttle.board_p99_ms() == 5.0
-
-    def test_aimd_decreases_over_target_and_recovers(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        throttle = BoardThrottle(
-            board, target_p99_ms=10.0, rate=64.0, adjust_interval_s=0.0
-        )
-        board[0, BOARD_P99_MS] = 50.0  # over target -> halve
-        throttle._maybe_adjust()
-        assert throttle.bucket.rate == 32.0
-        assert throttle.rate_decreases == 1
-        board[0, BOARD_P99_MS] = 2.0  # comfortably under -> ramp
-        throttle._maybe_adjust()
-        assert throttle.bucket.rate == pytest.approx(32.0 * 1.2)
-        assert throttle.rate_increases == 1
-
-    def test_rate_floor_holds(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        board[0, BOARD_P99_MS] = 1e6
-        throttle = BoardThrottle(
-            board, target_p99_ms=1.0, rate=4.0, floor_rate=2.0,
-            adjust_interval_s=0.0,
-        )
-        for _ in range(10):
-            throttle._maybe_adjust()
-        assert throttle.bucket.rate == 2.0
-
-    def test_no_target_means_no_adjustment(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        board[0, BOARD_P99_MS] = 1e6
-        throttle = BoardThrottle(board, target_p99_ms=None, rate=8.0)
-        throttle._maybe_adjust()
-        assert throttle.bucket.rate == 8.0
-
     def test_rejects_bad_parameters(self):
-        board = self._board()
-        with pytest.raises(ValueError):
-            BoardThrottle(board, target_p99_ms=-1.0)
-        with pytest.raises(ValueError):
-            BoardThrottle(board, floor_rate=0.0)
+        state = SharedServingState(2, 8, 4, 2)
+        try:
+            with pytest.raises(ValueError):
+                RebuildThrottle(state.board, target_p99_ms=-1.0)
+            with pytest.raises(ValueError):
+                RebuildThrottle(state.board, rate=0.0)
+        finally:
+            state.close()
 
 
 class TestSharedServingState:
@@ -308,6 +257,7 @@ class TestShardedServingEngine:
         assert report.served == 400
         assert report.mismatches == 0
         assert report.rebuild_wall_s is not None
+        assert report.rebuild_byte_exact is True
         assert len(report.per_shard) == 2
         assert sum(r["served"] for r in report.per_shard) == 400
 
@@ -363,3 +313,24 @@ class TestShardedServingEngine:
         reqs = hotspot_trace(codec, failed_disk=0, count=50, rate=3000.0)
         with pytest.raises(RuntimeError, match="sharded serving run failed"):
             engine.serve_trace(reqs, timeout_s=60.0, rebuild=False)
+
+    def test_fault_path_runs_in_shard_workers(self):
+        codec, disks = build(n_stripes=8)
+        plan = FaultPlan.parse([f"lse:1:0:{s}" for s in range(codec.n_stripes)])
+        engine = ShardedServingEngine(
+            codec, disks, failed_disk=0, n_shards=2, fault_plan=plan
+        )
+        reqs = hotspot_trace(codec, failed_disk=0, count=200, rate=3000.0)
+        report = engine.serve_trace(reqs, timeout_s=120.0, rebuild=False)
+        assert report.ok
+        assert report.served == 200
+        assert all(r["resilient"] > 0 for r in report.per_shard)
+
+    def test_out_of_range_request_rejected_before_replay(self):
+        codec, disks = build(n_stripes=4)
+        engine = ShardedServingEngine(codec, disks, failed_disk=0, n_shards=2)
+        total_rows = codec.n_stripes * codec.code.layout.k_rows
+        for disk, row in ((0, total_rows), (0, -1), (7, 0)):
+            reqs = [Request(arrival_s=0.0, disk=disk, row=row)]
+            with pytest.raises(IndexError):
+                engine.serve_trace(reqs, rebuild=False)

@@ -137,6 +137,17 @@ class TestCommands:
                      "--inject", "lse:1:0:0"]) == 0
         assert "byte-exact" in capsys.readouterr().out
 
+    def test_serve_with_faults_across_shards(self, capsys):
+        assert main(["serve", "--family", "rdp", "--disks", "7",
+                     "--stripes", "8", "--element-size", "32",
+                     "--requests", "60", "--shards", "2",
+                     "--element-read-ms", "0.1",
+                     "--inject", "lse:1:0:0", "--inject", "lse:1:0:5"]) == 0
+        out = capsys.readouterr().out
+        assert "2/2 reported" in out
+        assert "went resilient" in out
+        assert "byte-exact" in out
+
     def test_serve_rejects_bad_inject(self, capsys):
         assert main(["serve", "--family", "rdp", "--disks", "7",
                      "--inject", "nonsense"]) == 2
@@ -259,9 +270,31 @@ class TestCommands:
         assert out.count("byte-exact") == 1  # no comparison row
 
     def test_serve_placement_requires_shards(self, capsys):
+        # placement-aligned bounds need at least one shard; the default
+        # --shards 1 has one, --shards 0 is rejected outright
         assert main(["serve", "--family", "rdp", "--disks", "7",
-                     "--placement", "d3"]) == 2
+                     "--placement", "d3", "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
+
+    def test_serve_no_qos_reads_fifo(self, capsys, monkeypatch):
+        import repro.serving as serving
+
+        built = []
+
+        class Recording(serving.ShardedServingEngine):
+            def __init__(self, *args, **kw):
+                built.append(kw)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(serving, "ShardedServingEngine", Recording)
+        for flags in ([], ["--no-qos"]):
+            assert main(["serve", "--family", "rdp", "--disks", "5",
+                         "--stripes", "4", "--element-size", "16",
+                         "--requests", "20", "--element-read-ms", "0.05",
+                         *flags]) == 0
+        assert [kw["priority"] for kw in built] == [True, False]
+        assert [kw["target_p99_ms"] for kw in built] == [5.0, None]
+        assert "byte-exact" in capsys.readouterr().out
 
     def test_fleet_table(self, capsys):
         assert main(["fleet", "--family", "rdp", "--disks", "5",
