@@ -4,11 +4,12 @@
 Rebuilds a failed physical disk of a rotated array image two ways and
 records MB/s for each:
 
-* ``stripe_loop`` — the per-stripe engine the repo shipped before
-  :mod:`repro.pipeline` existed (gather one stripe, ``execute_scheme``,
-  patch), kept as the equivalence oracle;
-* ``batch`` — the chunked :class:`~repro.codec.batch.BatchReconstructor`
-  path every rebuild runs.
+* ``stripe_loop`` — the per-stripe reference
+  :meth:`~repro.codec.image.ArrayImageCodec.recover_disk` (gather one
+  stripe, ``execute_scheme``, patch), kept as the equivalence oracle;
+* ``batch`` — :class:`~repro.pipeline.RebuildPipeline`, the chunked
+  :class:`~repro.codec.batch.BatchReconstructor` loop every rebuild runs,
+  timed with its per-row verification included.
 
 Every grid point is verified byte-identical against the original disk
 image before its timing is recorded; a mismatch aborts the run.  A second
@@ -112,13 +113,24 @@ def measure_point(
 
     pipe = RebuildPipeline(codec, chunk_stripes=chunk_stripes, planner=planner)
 
-    def run(use_batch: bool = True) -> float:
-        result = pipe.rebuild(disks, failed_disk, use_batch=use_batch)
-        if not np.array_equal(result.image, original):
+    def check(image: np.ndarray, leg: str) -> None:
+        if not np.array_equal(image, original):
             raise AssertionError(
-                f"rebuild mismatch: {family}@{n_disks} esz={element_size} "
-                f"use_batch={use_batch}"
+                f"rebuild mismatch: {family}@{n_disks} esz={element_size} {leg}"
             )
+
+    def stripe_loop() -> float:
+        t0 = time.perf_counter()
+        image = codec.recover_disk(disks, failed_disk, planner)["image"]
+        wall_s = time.perf_counter() - t0
+        check(image, "stripe_loop")
+        return original.nbytes / 2**20 / wall_s
+
+    def batch() -> float:
+        result = pipe.rebuild(disks, failed_disk)
+        check(result.image, "batch")
+        if not result.ok:
+            raise AssertionError(f"{result.mismatches} rows failed verification")
         return result.stats["rebuilt_mb_s"]
 
     point = {
@@ -128,8 +140,8 @@ def measure_point(
         "n_stripes": n_stripes,
         "failed_disk": failed_disk,
         "disk_mb": original.nbytes / 2**20,
-        "stripe_loop_mb_s": _best_of(lambda: run(use_batch=False), repeats),
-        "batch_mb_s": _best_of(run, repeats),
+        "stripe_loop_mb_s": _best_of(stripe_loop, repeats),
+        "batch_mb_s": _best_of(batch, repeats),
         "byte_identical": True,  # every run above asserted it
     }
     if verbose:

@@ -292,7 +292,7 @@ def _rebuild_pool(args) -> int:
         dead_disk=args.failed_disk,
         chunk_stripes=args.chunk_stripes,
         plan_cache=plan_cache,
-        algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
+        algorithm=args.algorithm,
         depth=args.depth,
     )
     print(code.describe())
@@ -442,7 +442,7 @@ def _cmd_rebuild(args) -> int:
         f"speed   : {stats['rebuilt_mb_s']:.1f} MB/s "
         f"({stats['wall_s'] * 1e3:.1f} ms)"
     )
-    print(f"reads   : {result.reads_per_disk} per physical disk")
+    print(f"reads   : {result.reads_per_disk.tolist()} per physical disk")
     if plan_cache is not None:
         pc = plan_cache.stats()
         print(

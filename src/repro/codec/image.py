@@ -9,7 +9,8 @@ over all spindles.  This module provides that layout at byte granularity:
   per-disk images (``n_disks x (n_stripes*k) x element_size`` bytes);
 * :meth:`ArrayImageCodec.recover_disk` rebuilds a *physical* disk after
   failure, stripe by stripe, picking the right logical scheme per rotation
-  — the byte-level realisation of the paper's experiment loop.
+  — the byte-level realisation of the paper's experiment loop, and the
+  per-stripe reference for the batched :mod:`repro.pipeline` rebuild.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ class ArrayImageCodec:
 
     # ------------------------------------------------------------------
     def _logical_stripe(self, disks: np.ndarray, s: int) -> np.ndarray:
-        """Assemble stripe ``s`` in logical element order."""
+        """Assemble stripe ``s`` in logical element order (one slice per disk)."""
         lay = self.code.layout
+        k = lay.k_rows
         stripe = np.empty((lay.n_elements, self.element_size), dtype=np.uint8)
         for logical in range(lay.n_disks):
             phys = self.physical_disk(logical, s)
-            for row in range(lay.k_rows):
-                stripe[lay.eid(logical, row)] = disks[phys, s * lay.k_rows + row]
+            stripe[logical * k : (logical + 1) * k] = disks[phys, s * k : (s + 1) * k]
         return stripe
 
     def recover_disk(
@@ -147,32 +148,36 @@ class ArrayImageCodec:
         failed_physical: int,
         planner: Optional[RecoveryPlanner] = None,
     ) -> Dict[str, object]:
-        """Rebuild a failed physical disk from the survivors.
+        """Rebuild a failed physical disk from the survivors, stripe by stripe.
 
-        ``disks[failed_physical]`` is never read; the rebuilt image is
-        returned together with per-physical-disk element read counts, so the
-        load balance of the chosen scheme family is observable end to end.
+        The per-stripe reference the batched
+        :class:`~repro.pipeline.RebuildPipeline` is checked and timed
+        against.  No scheme reads ``disks[failed_physical]``; the rebuilt
+        image is returned together with per-physical-disk element read
+        counts, so the load balance of the chosen scheme family is
+        observable end to end.
         """
         lay = self.code.layout
+        k = lay.k_rows
         if not 0 <= failed_physical < lay.n_disks:
             raise IndexError(f"physical disk {failed_physical} out of range")
         planner = planner or RecoveryPlanner(self.code, algorithm="u", depth=1)
 
-        rebuilt = np.zeros(
-            (self.n_stripes * lay.k_rows, self.element_size), dtype=np.uint8
-        )
+        rebuilt = np.zeros((self.n_stripes * k, self.element_size), dtype=np.uint8)
         reads_per_disk = [0] * lay.n_disks
+        plans = {}
         for s in range(self.n_stripes):
-            logical_failed = self.logical_role(failed_physical, s)
-            scheme = planner.scheme_for_disk(logical_failed)
-            stripe = self._logical_stripe(disks, s)
+            role = self.logical_role(failed_physical, s)
+            if role not in plans:
+                scheme = planner.scheme_for_disk(role)
+                plans[role] = (scheme, scheme.loads)
+            scheme, loads = plans[role]
             # account reads against *physical* disks
-            for ldisk, _row in lay.iter_elements(scheme.read_mask):
-                reads_per_disk[self.physical_disk(ldisk, s)] += 1
-            recovered = execute_scheme(scheme, stripe)
+            for ldisk, load in enumerate(loads):
+                reads_per_disk[self.physical_disk(ldisk, s)] += load
+            recovered = execute_scheme(scheme, self._logical_stripe(disks, s))
             for eid, payload in recovered.items():
-                row = lay.row_of(eid)
-                rebuilt[s * lay.k_rows + row] = payload
+                rebuilt[s * k + lay.row_of(eid)] = payload
         return {"image": rebuilt, "reads_per_disk": reads_per_disk}
 
     def verify_recovery(

@@ -10,7 +10,7 @@ cost).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class Reconstructor:
     """Multi-stripe recovery driver.
 
     Wraps :func:`execute_scheme` with the bookkeeping a rebuild loop needs:
-    count of elements read, verification against the original, and an
-    in-place patch mode that writes recovered bytes back into the stripe
+    count of elements read, verification against the original, and a
+    patch mode that returns the stripe with its recovered bytes filled in
     (hot-spare semantics).
     """
 
@@ -79,25 +79,11 @@ class Reconstructor:
         self.elements_read += self.scheme.total_reads
         return out
 
-    def recover_and_patch(
-        self, stripe: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Rebuild failed elements and write them into a patched stripe.
-
-        With ``out=None`` (the default) the input is never touched and a
-        patched *copy* is returned — the original API.  Passing ``out=``
-        writes the patched stripe there instead; ``out=stripe`` patches the
-        caller's buffer in place with zero copies, which is what the
-        rebuild pipeline's patch-back stage uses.
-        """
-        recovered = self.recover_stripe(stripe)
-        if out is None:
-            out = stripe.copy()
-        elif out is not stripe:
-            if out.shape != stripe.shape:
-                raise ValueError(f"out shape {out.shape} != {stripe.shape}")
-            np.copyto(out, stripe)
-        for eid, data in recovered.items():
+    def recover_and_patch(self, stripe: np.ndarray) -> np.ndarray:
+        """Rebuild failed elements and return a patched *copy* of the
+        stripe (the input is never touched)."""
+        out = stripe.copy()
+        for eid, data in self.recover_stripe(stripe).items():
             out[eid] = data
         return out
 

@@ -1,20 +1,21 @@
-"""``repro.pipeline`` — high-throughput whole-disk rebuild engine.
+"""``repro.pipeline`` — whole-disk rebuild engine.
 
-The data plane for single-disk recovery: chunked stripe iteration
-(:mod:`repro.pipeline.chunks`) and the in-process chunked batch rebuild
-(:mod:`repro.pipeline.engine`), wired to the persistent
+The data plane for single-disk recovery.  :mod:`repro.pipeline.pool`
+holds the one rebuild loop — the dead disk's stripes grouped by role,
+chunked, recovered through one compiled batch plan per group, verified
+and billed per disk through the placement — for a pool disk of a placed
+fleet or, via :class:`~repro.pipeline.engine.RebuildPipeline`, a physical
+disk of the rotated single array.  Both are wired to the persistent
 :class:`~repro.recovery.plancache.SchemePlanCache` so repeated rebuilds
-skip scheme search entirely.  Pool-scale rebuild — one
-dead disk of a placed fleet, reads declustered across hundreds of disks —
-lives in :mod:`repro.pipeline.pool`.  See the "Rebuild throughput" section
-of ``docs/performance.md`` and ``docs/placement.md``.
+skip scheme search entirely.  See the "Rebuild throughput" section of
+``docs/performance.md`` and ``docs/placement.md``.
 """
 
-from repro.pipeline.chunks import StripeChunk, iter_chunks, rotation_classes
-from repro.pipeline.engine import RebuildPipeline, RebuildResult, rebuild_disk
+from repro.pipeline.engine import RebuildPipeline
 from repro.pipeline.pool import (
     PoolRebuild,
     PoolRebuildResult,
+    StripeChunk,
     compare_placements,
     rebuild_pool_disk,
 )
@@ -23,11 +24,7 @@ __all__ = [
     "PoolRebuild",
     "PoolRebuildResult",
     "RebuildPipeline",
-    "RebuildResult",
     "StripeChunk",
     "compare_placements",
-    "iter_chunks",
-    "rebuild_disk",
     "rebuild_pool_disk",
-    "rotation_classes",
 ]

@@ -1,18 +1,27 @@
-"""Pool-wide rebuild: one dead disk, reads declustered across the fleet.
+"""The rebuild loop: one dead disk, its stripes recovered chunk by chunk.
 
-The single-array :class:`~repro.pipeline.engine.RebuildPipeline` rebuilds
-a disk that appears in *every* stripe; a pool disk appears only in the
-stripes the placement put on it.  The rebuild therefore starts from the
-placement's inverse map (disk -> affected stripes), groups the affected
-stripes by the logical role the dead disk plays — the rotation-class
-chunking the array pipeline uses, lifted to the pool — and drives each
-group through one compiled :class:`~repro.codec.batch.BatchReconstructor`
-plan.  Reads are billed to the surviving *pool* disks through the
-placement table, which is the quantity declustering improves: flat
-placement concentrates every read on the dead disk's ``w - 1`` group
-mates, a declustered map fans the same reads out pool-wide and the
-max-per-disk load (the rebuild-time bound when disks are equally fast)
-drops by the declustering factor.
+Every whole-disk rebuild in the repo runs :meth:`PoolRebuild.rebuild` —
+the pool rebuild, the single-array :class:`~repro.pipeline.engine.RebuildPipeline`
+(a flat placement over the array's own ``n`` disks), the serving rebuild
+and the benchmarks.  A pool disk appears only in the stripes the
+placement put on it, so the rebuild starts from the placement's inverse
+map (disk -> affected stripes), groups those stripes by the logical role
+the dead disk plays, slices each group into :class:`StripeChunk` batches
+and drives each group through one compiled
+:class:`~repro.codec.batch.BatchReconstructor` plan.  On the rotated
+array the role groups are exactly the rotation classes (``s % n``).
+Reads are billed to the surviving *pool* disks through the placement
+table, which is the quantity declustering improves: flat placement
+concentrates every read on the dead disk's ``w - 1`` group mates, a
+declustered map fans the same reads out pool-wide and the max-per-disk
+load (the rebuild-time bound when disks are equally fast) drops by the
+declustering factor.
+
+The loop reads bytes only through its source's ``gather(stripe_ids,
+out)`` (whole stripes in logical element order, into a reused buffer) and
+``role_rows(stripe_ids, role)`` (one role's rows, the ground truth);
+:class:`~repro.placement.pool.PoolStore` and the array image view in
+:mod:`repro.pipeline.engine` implement both.
 
 When the placement carries a topology (:meth:`PlacementMap.attach_topology`),
 every billed read is *also* billed up the tree through a
@@ -23,9 +32,10 @@ the lexicographic max-per-{uplink, NIC, disk} load.  The executed billing
 must match the planner's analytic loads exactly (``read_loads`` /
 ``link_read_loads``); the benchmarks enforce that contract.
 
-Every recovered row is verified byte-identical against the store before
-the result is returned — a placement bug surfaces as a mismatch count,
-never as silent corruption.
+The dead disk's rows are poisoned in every gathered chunk, and every
+recovered row is verified byte-identical against the source before the
+result is returned — a placement bug surfaces as a mismatch count, never
+as silent corruption.
 """
 
 from __future__ import annotations
@@ -38,15 +48,40 @@ import numpy as np
 
 from repro import obs
 from repro.codec.batch import BatchReconstructor
+from repro.placement.map import plan_read_loads, role_groups
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
 
+@dataclass(frozen=True)
+class StripeChunk:
+    """One batch of the rebuild loop, handed to both hooks.
+
+    Attributes
+    ----------
+    chunk_id:
+        Dense sequence number in emission order.
+    role:
+        Logical role the dead disk plays in every stripe of the chunk
+        (one scheme, one compiled plan).
+    stripe_ids:
+        Ascending stripe indices, ``len <= chunk_stripes``.
+    """
+
+    chunk_id: int
+    role: int
+    stripe_ids: np.ndarray
+
+    @property
+    def n_stripes(self) -> int:
+        return len(self.stripe_ids)
+
+
 @dataclass
 class PoolRebuildResult:
-    """Outcome of rebuilding one dead pool disk."""
+    """Outcome of rebuilding one dead disk."""
 
     dead_disk: int
     rows: np.ndarray               #: recovered rows, ``(affected, k, esz)``
@@ -60,6 +95,12 @@ class PoolRebuildResult:
     @property
     def ok(self) -> bool:
         return self.mismatches == 0
+
+    @property
+    def image(self) -> np.ndarray:
+        """Recovered rows in stripe order, ``(affected * k, esz)`` — the
+        rebuilt disk image when the dead disk holds every stripe."""
+        return self.rows.reshape(-1, self.rows.shape[-1])
 
     @property
     def max_read_load(self) -> int:
@@ -78,19 +119,31 @@ class PoolRebuild:
     Parameters
     ----------
     store:
-        The encoded pool store (placement + stripe bytes).
+        The byte source: an encoded pool store, or anything with its
+        ``code``, ``placement``, ``k_rows``, ``element_size``,
+        ``gather`` and ``role_rows``.
     chunk_stripes:
         Affected stripes recovered per batch-kernel call.
     planner / plan_cache / algorithm / depth:
-        Scheme search configuration, exactly as in
-        :class:`~repro.pipeline.engine.RebuildPipeline`.
+        Scheme search configuration: a pre-built planner (its cached
+        schemes are reused), or a fresh one with that persistent plan
+        store, algorithm and depth.
     topo_planner:
         Optional :class:`~repro.topology.TopologyAwarePlanner`; requires
         the store's placement to have that planner's topology attached.
         Stripes are then grouped by (role, rack signature) and each group
         gets its lexicographically link-optimal scheme.
     throttle:
-        Optional admission hook called before each chunk (QoS point).
+        Optional hook called with each :class:`StripeChunk` *before* it
+        is gathered.  Blocking inside the hook delays rebuild work without
+        touching anything else — the admission point the serving QoS
+        throttle plugs into.
+    on_chunk:
+        Optional hook called with ``(chunk, rows)`` after each chunk is
+        recovered, verified and billed; ``rows`` is the chunk's
+        ``(n_stripes, k_rows, element_size)`` recovered block, a view
+        valid only for the duration of the callback (copy to keep).
+        Chunks arrive in ``chunk_id`` order.
     """
 
     def __init__(
@@ -102,13 +155,15 @@ class PoolRebuild:
         algorithm: str = "u",
         depth: int = 1,
         topo_planner=None,
-        throttle: Optional[Callable[[np.ndarray], None]] = None,
+        throttle: Optional[Callable[[StripeChunk], None]] = None,
+        on_chunk: Optional[Callable[[StripeChunk, np.ndarray], None]] = None,
     ) -> None:
         if chunk_stripes < 1:
             raise ValueError(f"chunk_stripes must be >= 1, got {chunk_stripes}")
         self.store = store
         self.chunk_stripes = chunk_stripes
         self.throttle = throttle
+        self.on_chunk = on_chunk
         self.planner = planner or RecoveryPlanner(
             store.code, algorithm=algorithm, depth=depth, plan_cache=plan_cache
         )
@@ -132,17 +187,15 @@ class PoolRebuild:
         if self.topo_planner is not None:
             yield from self.topo_planner.stripe_groups(placement, dead_disk)
             return
-        stripes, roles = placement.roles_of_disk(dead_disk)
-        for role in np.unique(roles):
-            role = int(role)
-            sel = np.sort(stripes[roles == role])
-            yield role, sel, self.planner.scheme_for_disk(role)
+        for role, stripe_ids in role_groups(placement, dead_disk):
+            yield role, stripe_ids, self.planner.scheme_for_disk(role)
 
     def read_loads(self, dead_disk: int) -> np.ndarray:
         """Planned per-pool-disk reads for a rebuild (no bytes moved)."""
-        from repro.topology.planner import plan_read_loads
-
-        groups = self.stripe_groups(dead_disk)
+        groups = (
+            (role, ids, scheme.loads)
+            for role, ids, scheme in self.stripe_groups(dead_disk)
+        )
         return plan_read_loads(groups, self.store.placement, dead_disk)
 
     def link_read_loads(self, dead_disk: int) -> "obs.LinkLoadMap":
@@ -156,24 +209,28 @@ class PoolRebuild:
         """Recover every row the dead disk held, billing reads per disk."""
         store = self.store
         placement = store.placement
-        if store.stripes is None:
-            raise RuntimeError("pool store is empty — call encode_random() first")
+        # ascending: the inverse map scans the table row-major
         all_stripes, _ = placement.roles_of_disk(dead_disk)
-        all_stripes = np.sort(all_stripes)
-        pos_of_stripe = {int(s): i for i, s in enumerate(all_stripes)}
         k, esz = store.k_rows, store.element_size
-        lay = store.code.layout
 
         rows = np.empty((len(all_stripes), k, esz), dtype=np.uint8)
+        # per-chunk buffers, reused for every chunk
+        buf_stripes = min(self.chunk_stripes, len(all_stripes))
+        in_buf = np.empty(
+            (buf_stripes, placement.width * k, esz), dtype=np.uint8
+        )
+        out_buf = np.empty((buf_stripes, k, esz), dtype=np.uint8)
         loadmap = obs.DiskLoadMap(placement.n_pool)
         linkmap = None
-        leaf = None
+        leaf = per_leaf = None
         if placement.topology is not None:
             linkmap = obs.LinkLoadMap(placement.topology)
             leaf = placement.leaf_of_disk
+            per_leaf = np.zeros(placement.topology.n_disks, dtype=np.int64)
         mismatches = 0
         n_chunks = 0
-        n_groups = 0
+        # plan every group up front: the timed loop only moves bytes
+        groups = list(self.stripe_groups(dead_disk))
         t0 = time.perf_counter()
         with obs.span(
             "placement.rebuild",
@@ -181,34 +238,41 @@ class PoolRebuild:
             pool=placement.n_pool,
             affected=len(all_stripes),
         ):
-            for role, group_ids, scheme in self.stripe_groups(dead_disk):
-                n_groups += 1
+            for role, group_ids, scheme in groups:
                 recon = BatchReconstructor(scheme)
-                failed_lo, failed_hi = role * k, (role + 1) * k
+                loads = np.asarray(scheme.loads, dtype=np.int64)
+                read_roles = np.flatnonzero(loads)
                 for lo in range(0, len(group_ids), self.chunk_stripes):
-                    chunk_ids = group_ids[lo : lo + self.chunk_stripes]
+                    chunk = StripeChunk(
+                        n_chunks, role, group_ids[lo : lo + self.chunk_stripes]
+                    )
                     if self.throttle is not None:
-                        self.throttle(chunk_ids)
-                    batch = store.stripes[chunk_ids].copy()
+                        self.throttle(chunk)
+                    ids = chunk.stripe_ids
+                    batch = store.gather(ids, in_buf[: len(ids)])
                     # poison the dead rows: any scheme that accidentally
                     # reads them fails verification instead of passing
-                    batch[:, failed_lo:failed_hi] = 0xAA
-                    out = np.empty((len(chunk_ids), k, esz), dtype=np.uint8)
+                    batch[:, role * k : (role + 1) * k] = 0xAA
+                    out = out_buf[: len(ids)]
                     recon.recover_batch_into(batch, out)
-                    idx = np.asarray(
-                        [pos_of_stripe[int(s)] for s in chunk_ids],
-                        dtype=np.int64,
-                    )
-                    rows[idx] = out
-                    truth = store.role_rows(chunk_ids, role)
-                    bad = ~np.all(out == truth, axis=(1, 2))
-                    mismatches += int(bad.sum())
-                    for logical, load in enumerate(scheme.loads):
-                        if load and logical != role:
-                            hosts = placement.disk_of_role(chunk_ids, logical)
-                            loadmap.add_many(hosts, load)
-                            if linkmap is not None:
-                                linkmap.add_many(leaf[hosts], load)
+                    rows[np.searchsorted(all_stripes, ids)] = out
+                    truth = store.role_rows(ids, role)
+                    if not np.array_equal(out, truth):
+                        mismatches += int((out != truth).any(axis=(1, 2)).sum())
+                    # bill every read to the pool disk serving it
+                    hosts = placement.disk_of_role(ids[:, None], read_roles)
+                    per_disk = np.bincount(
+                        hosts.reshape(-1),
+                        weights=np.broadcast_to(loads[read_roles], hosts.shape)
+                        .reshape(-1),
+                        minlength=placement.n_pool,
+                    ).astype(np.int64)
+                    loadmap.add_vector(per_disk)
+                    if linkmap is not None:
+                        per_leaf[leaf] = per_disk
+                        linkmap.add_vector(per_leaf)
+                    if self.on_chunk is not None:
+                        self.on_chunk(chunk, out)
                     n_chunks += 1
                     obs.count("placement.chunks")
         wall_s = time.perf_counter() - t0
@@ -222,9 +286,9 @@ class PoolRebuild:
         stats = {
             "placement": placement.name,
             "n_pool": placement.n_pool,
-            "width": lay.n_disks,
+            "width": placement.width,
             "affected_stripes": int(len(all_stripes)),
-            "groups": n_groups,
+            "groups": len(groups),
             "chunks": n_chunks,
             "chunk_stripes": self.chunk_stripes,
             "rebuilt_bytes": int(rebuilt_bytes),

@@ -17,7 +17,9 @@ from repro.placement.map import (
     RandomPlacement,
     list_placements,
     make_placement,
+    plan_read_loads,
     rebuild_read_loads,
+    role_groups,
 )
 from repro.placement.pool import PoolStore
 
@@ -31,5 +33,7 @@ __all__ = [
     "RandomPlacement",
     "list_placements",
     "make_placement",
+    "plan_read_loads",
     "rebuild_read_loads",
+    "role_groups",
 ]

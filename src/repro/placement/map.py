@@ -36,15 +36,26 @@ signature.
 Every strategy materialises a ``(n_stripes, w)`` table of pool-disk ids
 (position = *slot*), validated to hold ``w`` distinct disks per stripe.
 Within a stripe the logical role ``l`` sits at slot ``(l + s) % w`` — the
-paper's per-stripe rotation, kept so rotation-class chunking (and the
-dedicated-parity hotspot fix) survives the move to a pool.  The inverse
-map (disk -> affected stripes) is exactly what a rebuild needs to know.
+paper's per-stripe rotation (and its dedicated-parity hotspot fix), so the
+rotated single array is exactly ``make_placement("flat", n, n_stripes, n)``.
+The inverse map (disk -> affected stripes) is exactly what a rebuild needs
+to know.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -461,6 +472,46 @@ def make_placement(
 # ----------------------------------------------------------------------
 # rebuild-load analysis (no bytes moved — the planning/benchmark view)
 # ----------------------------------------------------------------------
+def role_groups(
+    placement: PlacementMap, dead_disk: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(role, stripe_ids)`` for each logical role ``dead_disk`` plays.
+
+    Stripe ids come out ascending (the inverse map scans the table
+    row-major).  On the flat ``n == width`` array these are the rotation
+    classes: role ``r`` holds the stripes with ``(dead_disk - s) % n == r``.
+    """
+    stripes, roles = placement.roles_of_disk(dead_disk)
+    for role in np.flatnonzero(np.bincount(roles, minlength=placement.width)):
+        yield int(role), stripes[roles == role]
+
+
+def plan_read_loads(
+    groups: Iterable[Tuple[int, np.ndarray, Sequence[int]]],
+    placement: PlacementMap,
+    dead_disk: int,
+) -> np.ndarray:
+    """Per-pool-disk element reads of a planned rebuild (no bytes moved).
+
+    ``groups`` iterates ``(role, stripe_ids, loads)``: the stripes in
+    which the dead disk plays ``role`` and that role's recovery-scheme
+    per-logical-disk read loads (the paper's ``scheme.loads``).
+    """
+    reads = np.zeros(placement.n_pool, dtype=np.int64)
+    for role, stripe_ids, loads in groups:
+        if len(loads) != placement.width:
+            raise ValueError(
+                f"role {role}: expected {placement.width} loads, got {len(loads)}"
+            )
+        for logical, load in enumerate(loads):
+            if load:
+                hosts = placement.disk_of_role(stripe_ids, logical)
+                reads += load * np.bincount(hosts, minlength=placement.n_pool)
+    if reads[dead_disk]:
+        raise AssertionError("a recovery scheme read the dead disk")
+    return reads
+
+
 def rebuild_read_loads(
     placement: PlacementMap,
     dead_disk: int,
@@ -469,24 +520,11 @@ def rebuild_read_loads(
     """Element reads each surviving pool disk serves to rebuild ``dead_disk``.
 
     ``loads_by_role`` maps the logical role the dead disk plays to that
-    role's recovery-scheme per-logical-disk read loads (the paper's
-    ``scheme.loads``) — composition of the per-stripe load-balanced
-    schemes with the pool placement.
+    role's recovery-scheme read loads — :func:`plan_read_loads` over the
+    default :func:`role_groups`.
     """
-    reads = np.zeros(placement.n_pool, dtype=np.int64)
-    stripes, roles = placement.roles_of_disk(dead_disk)
-    for role in np.unique(roles):
-        sel = stripes[roles == role]
-        loads = loads_by_role[int(role)]
-        if len(loads) != placement.width:
-            raise ValueError(
-                f"role {role}: expected {placement.width} loads, got {len(loads)}"
-            )
-        for logical, load in enumerate(loads):
-            if not load:
-                continue
-            hosts = placement.disk_of_role(sel, logical)
-            reads += load * np.bincount(hosts, minlength=placement.n_pool)
-    if reads[dead_disk]:
-        raise AssertionError("a recovery scheme read the dead disk")
-    return reads
+    groups = (
+        (role, ids, loads_by_role[role])
+        for role, ids in role_groups(placement, dead_disk)
+    )
+    return plan_read_loads(groups, placement, dead_disk)

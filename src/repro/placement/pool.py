@@ -81,18 +81,26 @@ class PoolStore:
         return self.stripes
 
     # ------------------------------------------------------------------
+    # the rebuild loop's byte source (see repro.pipeline.pool)
+    # ------------------------------------------------------------------
+    def _encoded(self) -> np.ndarray:
+        if self.stripes is None:
+            raise RuntimeError("store is empty — call encode_random() first")
+        return self.stripes
+
+    def gather(self, stripe_ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy the stripes, in logical element order, into ``out``
+        (``(len(stripe_ids), n_elements, element_size)``; the caller may
+        scribble on it).  Ids must be in range: "clip" skips numpy's
+        buffered bounds check, and :meth:`role_rows` still raises."""
+        return np.take(self._encoded(), np.asarray(stripe_ids), axis=0,
+                       out=out, mode="clip")
+
     def role_rows(self, stripe_ids: np.ndarray, role: int) -> np.ndarray:
         """The ``k`` element rows logical ``role`` stores in each stripe.
 
         Shape ``(len(stripe_ids), k_rows, element_size)`` — the ground
         truth a pool rebuild's output is verified against.
         """
-        if self.stripes is None:
-            raise RuntimeError("store is empty — call encode_random() first")
         k = self.k_rows
-        eids = role * k + np.arange(k, dtype=np.int64)
-        return self.stripes[np.asarray(stripe_ids)[:, None], eids[None, :]]
-
-    def host_of_role(self, stripe_ids: np.ndarray, role: int) -> np.ndarray:
-        """Pool disk serving ``role``'s rows for each stripe (billing key)."""
-        return self.placement.disk_of_role(np.asarray(stripe_ids), role)
+        return self._encoded()[np.asarray(stripe_ids), role * k : (role + 1) * k]

@@ -62,7 +62,9 @@ from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
 from repro.faults.plan import FaultPlan
 from repro.faults.store import FaultyStripeStore
-from repro.pipeline.engine import RebuildPipeline, RebuildResult
+from repro.pipeline.engine import RebuildPipeline
+from repro.pipeline.pool import PoolRebuildResult
+from repro.placement.map import plan_read_loads
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.resilient import ResilientExecutor
@@ -661,18 +663,6 @@ class ShardedServingEngine:
             self.plans.store.save()
         return count
 
-    def _frontier_per_disk(
-        self, chunk, n_stripes: int
-    ) -> Dict[int, int]:
-        """Physical-disk read counts of one chunk's sub-range (shard share)."""
-        scheme = self.planner.scheme_for_disk(chunk.logical_disk)
-        n = self.codec.code.layout.n_disks
-        return {
-            (ldisk + chunk.rotation) % n: load * n_stripes
-            for ldisk, load in enumerate(scheme.loads)
-            if load
-        }
-
     def serve_trace(
         self,
         requests: Sequence[Request],
@@ -720,7 +710,7 @@ class ShardedServingEngine:
             target_p99_ms=self.target_p99_ms,
             rate=self.rebuild_rate,
         )
-        rebuild_result: List[Optional[RebuildResult]] = [None]
+        rebuild_result: List[Optional[PoolRebuildResult]] = [None]
         rebuild_error: List[Optional[BaseException]] = [None]
         rebuild_wall: List[Optional[float]] = [None]
         procs = []
@@ -848,11 +838,7 @@ class ShardedServingEngine:
             rebuild_wall_s=rebuild_wall[0],
             per_shard=per_shard,
             throttle=throttle_stats,
-            rebuild_byte_exact=(
-                None
-                if result is None
-                else bool(np.array_equal(result.image, self.disks[self.failed_disk]))
-            ),
+            rebuild_byte_exact=None if result is None else result.ok,
         )
 
     # ------------------------------------------------------------------
@@ -877,11 +863,12 @@ class ShardedServingEngine:
                 # the chunk's own disk service time: survivor reads fan
                 # out across spindles, so the chunk takes as long as its
                 # busiest disk
-                scheme = self.planner.scheme_for_disk(chunk.logical_disk)
+                scheme = self.planner.scheme_for_disk(chunk.role)
                 busiest = max(scheme.loads) * chunk.n_stripes
                 time.sleep(busiest * erm * 1e-3)
 
         def _on_chunk(chunk, rows: np.ndarray) -> None:
+            loads = self.planner.scheme_for_disk(chunk.role).loads
             row_idx = (
                 chunk.stripe_ids[:, None] * k + np.arange(k, dtype=np.int64)
             ).reshape(-1)
@@ -892,7 +879,10 @@ class ShardedServingEngine:
                                        side="right") - 1
             for shard in np.unique(shard_of):
                 ids = chunk.stripe_ids[shard_of == shard]
-                per_disk = self._frontier_per_disk(chunk, len(ids))
+                reads = plan_read_loads(
+                    [(chunk.role, ids, loads)], pipe.placement, self.failed_disk
+                )
+                per_disk = {int(d): int(reads[d]) for d in np.flatnonzero(reads)}
                 ctrls[int(shard)].put(("frontier", ids, per_disk))
             throttle.after_chunk()
 

@@ -74,7 +74,7 @@ class TestReconstructor:
 
 
 class TestRecoverAndPatchOut:
-    """The ``out=`` in-place variant, and the copying default's contract."""
+    """``recover_and_patch`` returns a patched copy, never touching its input."""
 
     def _damaged(self, stripe, scheme, fill=0xAA):
         damaged = stripe.copy()
@@ -93,45 +93,6 @@ class TestRecoverAndPatchOut:
         assert not np.shares_memory(patched, damaged)
         assert np.array_equal(damaged, snapshot)  # input byte-untouched
         assert np.array_equal(patched, stripe)
-
-    def test_out_is_stripe_patches_in_place(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 3)
-        damaged = self._damaged(stripe, scheme)
-        returned = Reconstructor(scheme).recover_and_patch(damaged, out=damaged)
-        assert returned is damaged
-        assert np.array_equal(damaged, stripe)
-
-    def test_out_separate_buffer(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 0)
-        damaged = self._damaged(stripe, scheme)
-        out = np.zeros_like(damaged)
-        returned = Reconstructor(scheme).recover_and_patch(damaged, out=out)
-        assert returned is out
-        assert np.array_equal(out, stripe)
-        # survivors were copied through, input untouched
-        assert np.array_equal(
-            damaged, self._damaged(stripe, scheme)
-        )
-
-    def test_out_and_default_agree(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 2)
-        damaged = self._damaged(stripe, scheme)
-        copied = Reconstructor(scheme).recover_and_patch(damaged)
-        inplace = Reconstructor(scheme).recover_and_patch(
-            damaged.copy(), out=damaged.copy()
-        )
-        assert np.array_equal(copied, inplace)
-
-    def test_out_shape_mismatch(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 0)
-        with pytest.raises(ValueError, match="out shape"):
-            Reconstructor(scheme).recover_and_patch(
-                stripe, out=np.zeros((2, 2), dtype=np.uint8)
-            )
 
 
 class TestVerifyHelper:

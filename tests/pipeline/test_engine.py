@@ -1,5 +1,5 @@
-"""Rebuild-engine correctness: every path byte-identical to the legacy
-per-stripe rebuild, reads accounting preserved, failures surfaced."""
+"""Rebuild-engine correctness: the array rebuild byte-identical to the
+per-stripe reference, reads accounting preserved, failures surfaced."""
 
 import multiprocessing
 
@@ -7,9 +7,26 @@ import numpy as np
 import pytest
 
 from repro.codec import ArrayImageCodec
-from repro.codes import make_code
-from repro.pipeline import RebuildPipeline, rebuild_disk
+from repro.codes import list_families, make_code
+from repro.pipeline import PoolRebuild, RebuildPipeline
+from repro.placement import PoolStore, make_placement
 from repro.recovery import RecoveryPlanner, SchemePlanCache
+
+#: width per family for the registry-wide check (mdr searches slowly past 5)
+_WIDTH = {"mdr": 5}
+
+
+def horizontal_families():
+    """Registry families the rotated array image can hold."""
+    out = []
+    for family in list_families():
+        code = make_code(family, _WIDTH.get(family, 7))
+        try:
+            ArrayImageCodec(code, element_size=8, n_stripes=1)
+        except NotImplementedError:
+            continue
+        out.append(family)
+    return out
 
 
 def build_image(family="rdp", n_disks=7, element_size=32, n_stripes=23, seed=1):
@@ -30,21 +47,47 @@ class TestInlinePaths:
             assert np.array_equal(result.image, disks[failed]), failed
 
     def test_matches_legacy_recover_disk(self):
-        codec, disks = build_image()
-        legacy = codec.recover_disk(disks, 2)
-        pipe = RebuildPipeline(codec, chunk_stripes=5)
-        result = pipe.rebuild(disks, 2)
-        assert np.array_equal(result.image, legacy["image"])
-        assert result.reads_per_disk == legacy["reads_per_disk"]
+        families = horizontal_families()
+        assert "xcode" not in families and len(families) >= 14
+        for family in families:
+            n = _WIDTH.get(family, 7)
+            codec, disks = build_image(family, n, element_size=8, n_stripes=2 * n + 3)
+            pipe = RebuildPipeline(codec, chunk_stripes=4)
+            for failed in range(codec.code.layout.n_disks):
+                legacy = codec.recover_disk(disks, failed, pipe.planner)
+                result = pipe.rebuild(disks, failed)
+                assert np.array_equal(result.image, legacy["image"]), (family, failed)
+                assert result.reads_per_disk.tolist() == legacy["reads_per_disk"], (
+                    family,
+                    failed,
+                )
+                assert result.ok, (family, failed)
 
     def test_stripe_loop_oracle_matches_batch(self):
         codec, disks = build_image(n_stripes=11)
         pipe = RebuildPipeline(codec, chunk_stripes=3)
         batch = pipe.rebuild(disks, 4)
-        loop = pipe.rebuild(disks, 4, use_batch=False)
-        assert np.array_equal(batch.image, loop.image)
-        assert batch.reads_per_disk == loop.reads_per_disk
-        assert loop.stats["mode"] == "stripe-loop"
+        loop = codec.recover_disk(disks, 4, pipe.planner)
+        assert np.array_equal(batch.image, loop["image"])
+        assert batch.reads_per_disk.tolist() == loop["reads_per_disk"]
+
+    def test_pool_store_on_flat_placement_bills_like_the_array(self):
+        # the rotated array is flat(n, s, n): a PoolStore laid out that way
+        # recovers the same rows with the same per-disk reads
+        codec, disks = build_image(n_stripes=23)
+        n = codec.code.layout.n_disks
+        store = PoolStore(codec.code, make_placement("flat", n, 23, n),
+                          element_size=codec.element_size)
+        store.encode_random(np.random.default_rng(3))
+        pipe = RebuildPipeline(codec, chunk_stripes=4)
+        pool = PoolRebuild(store, chunk_stripes=4, planner=pipe.planner)
+        for failed in range(n):
+            array = pipe.rebuild(disks, failed)
+            placed = pool.rebuild(failed)
+            assert placed.ok
+            assert np.array_equal(placed.reads_per_disk, array.reads_per_disk)
+            assert np.array_equal(placed.reads_per_disk, pool.read_loads(failed))
+            assert placed.stats["chunks"] == array.stats["chunks"]
 
     def test_chunk_size_one(self):
         codec, disks = build_image(n_stripes=9)
@@ -59,6 +102,8 @@ class TestInlinePaths:
         pipe = RebuildPipeline(codec, chunk_stripes=4)
         result = pipe.rebuild(trashed, 3)
         assert np.array_equal(result.image, disks[3])
+        # verification compares against what the dead disk held
+        assert result.mismatches == codec.n_stripes and not result.ok
 
     def test_patch_writes_back_in_place(self):
         codec, disks = build_image()
@@ -76,7 +121,7 @@ class TestInlinePaths:
         assert stats["stripes"] == codec.n_stripes
         assert stats["rebuilt_bytes"] == result.image.nbytes
         assert stats["rebuilt_mb_s"] > 0
-        assert result.mb_per_s == stats["rebuilt_mb_s"]
+        assert stats["placement"] == "flat" and result.ok
 
     def test_rejects_bad_geometry(self):
         codec, disks = build_image()
@@ -111,17 +156,12 @@ class TestSingleProcess:
 
 
 class TestConvenienceAndPlanCache:
-    def test_rebuild_disk_wrapper(self):
-        codec, disks = build_image()
-        result = rebuild_disk(codec, disks, 1, chunk_stripes=4)
-        assert np.array_equal(result.image, disks[1])
-
     def test_plan_cache_round_trip(self, tmp_path):
         store = tmp_path / "plans.json"
         codec, disks = build_image()
-        r1 = rebuild_disk(codec, disks, 2, plan_cache=SchemePlanCache(store))
+        r1 = RebuildPipeline(codec, plan_cache=SchemePlanCache(store)).rebuild(disks, 2)
         cache2 = SchemePlanCache(store)
-        r2 = rebuild_disk(codec, disks, 2, plan_cache=cache2)
+        r2 = RebuildPipeline(codec, plan_cache=cache2).rebuild(disks, 2)
         assert np.array_equal(r1.image, r2.image)
         assert cache2.misses == 0 and cache2.hits > 0
         assert r2.stats["plan_cache"]["hits"] == cache2.hits

@@ -6,7 +6,7 @@ import pytest
 from repro.codec.encoder import StripeCodec
 from repro.codes import CauchyRSCode, EvenOddCode, RdpCode
 from repro.pipeline import PoolRebuild, compare_placements, rebuild_pool_disk
-from repro.placement import FlatPlacement, PoolStore, make_placement
+from repro.placement import PoolStore, make_placement
 
 
 def build_store(name="declustered", code=None, n_pool=40, n_stripes=300,
@@ -108,8 +108,27 @@ class TestPoolRebuild:
         engine = PoolRebuild(store, chunk_stripes=16, throttle=seen.append)
         res = engine.rebuild(dead_disk=2)
         assert res.ok
-        assert sum(len(c) for c in seen) == len(res.stripe_ids)
+        assert sum(c.n_stripes for c in seen) == len(res.stripe_ids)
         assert len(seen) == res.stats["chunks"]
+
+    def test_on_chunk_sees_rows_in_chunk_order(self):
+        store = build_store("declustered", n_pool=30, n_stripes=200)
+        k = store.k_rows
+        seen = []
+
+        def on_chunk(chunk, rows):
+            # rows is a reused buffer: copy to keep
+            seen.append((chunk.chunk_id, chunk.role, chunk.stripe_ids, rows.copy()))
+
+        res = PoolRebuild(store, chunk_stripes=8, on_chunk=on_chunk).rebuild(6)
+        assert res.ok
+        assert [c[0] for c in seen] == list(range(res.stats["chunks"]))
+        assert sorted(s for c in seen for s in c[2].tolist()) == res.stripe_ids.tolist()
+        for _, role, ids, rows in seen:
+            assert rows.shape == (len(ids), k, store.element_size)
+            assert np.array_equal(rows, store.role_rows(ids, role))
+            pos = np.searchsorted(res.stripe_ids, ids)
+            assert np.array_equal(rows, res.rows[pos])
 
     def test_bad_chunk_size_rejected(self):
         store = build_store()

@@ -269,6 +269,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("byte-exact") == 1  # no comparison row
 
+    def test_rebuild_pool_honours_algorithm(self, capsys):
+        def max_reads(algorithm):
+            assert main(["rebuild", "--family", "rdp", "--disks", "7",
+                         "--placement", "declustered", "--pool-disks", "30",
+                         "--stripes", "300", "--element-size", "16",
+                         "--algorithm", algorithm]) == 0
+            out = capsys.readouterr().out
+            row = next(line for line in out.splitlines()
+                       if line.startswith("declustered"))
+            return int(row.split()[1])
+
+        # naive reads every data disk of each stripe; U balances fewer
+        assert max_reads("naive") > max_reads("u")
+
     def test_serve_placement_requires_shards(self, capsys):
         # placement-aligned bounds need at least one shard; the default
         # --shards 1 has one, --shards 0 is rejected outright
