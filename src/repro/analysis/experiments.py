@@ -24,6 +24,7 @@ from repro.codes.base import ErasureCode
 from repro.codes.registry import make_code
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
 from repro.disksim.recovery_sim import simulate_stack_recovery
+from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
@@ -37,9 +38,10 @@ FIGURE_DISK_RANGE: Tuple[int, ...] = tuple(range(7, 17))
 class SchemeCache:
     """Cache of per-data-disk schemes keyed by (family, n_disks, algorithm).
 
-    With a ``cache_dir`` the schemes persist across processes as JSON (via
-    :meth:`RecoveryPlanner.save`/``load``), which turns the multi-minute
-    figure sweeps into second-scale replays.
+    Every planner shares one :class:`SchemePlanCache` (``plans``).  With a
+    ``cache_dir`` it is backed by ``cache_dir / "plans.json"`` and saved
+    once per (family, n_disks, algorithm) sweep, which turns the
+    multi-minute figure sweeps into second-scale replays.
     """
 
     def __init__(
@@ -50,15 +52,11 @@ class SchemeCache:
     ) -> None:
         self.depth = depth
         self.max_expansions = max_expansions
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.plans = SchemePlanCache(
+            Path(cache_dir) / "plans.json" if cache_dir else None,
+            autosave=False,
+        )
         self._mem: Dict[Tuple[str, int, str], List[RecoveryScheme]] = {}
-
-    def _path(self, family: str, n_disks: int, algorithm: str) -> Optional[Path]:
-        if not self.cache_dir:
-            return None
-        return self.cache_dir / f"{family}_{n_disks}_{algorithm}_d{self.depth}.json"
 
     def schemes(
         self, family: str, n_disks: int, algorithm: str
@@ -73,13 +71,10 @@ class SchemeCache:
             algorithm=algorithm,
             depth=self.depth,
             max_expansions=self.max_expansions,
+            plan_cache=self.plans,
         )
-        path = self._path(family, n_disks, algorithm)
-        if path and path.exists():
-            planner.load(path)
         schemes = planner.all_data_disk_schemes()
-        if path and not path.exists():
-            planner.save(path)
+        self.plans.save()
         self._mem[key] = schemes
         return schemes
 

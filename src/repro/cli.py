@@ -68,7 +68,8 @@ from repro.analysis import (
 from repro.codec import verify_scheme_on_random_data
 from repro.codes import list_families, make_code
 from repro.disksim.recovery_sim import simulate_stack_recovery
-from repro.recovery import RecoveryPlanner, scheme_for_disk
+from repro.recovery import ALGORITHMS, RecoveryPlanner, scheme_for_disk
+from repro.recovery.search import COST_KEYS
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
@@ -95,8 +96,6 @@ def _cmd_scheme(args) -> int:
     code = make_code(args.family, args.disks)
     scheme = scheme_for_disk(
         code, args.failed_disk, algorithm=args.algorithm, depth=args.depth
-    ) if args.algorithm not in ("naive", "conventional") else scheme_for_disk(
-        code, args.failed_disk, algorithm=args.algorithm
     )
     print(code.describe())
     print(scheme.summary())
@@ -105,7 +104,6 @@ def _cmd_scheme(args) -> int:
         print(
             f"search: expanded={stats['expanded']} pushed={stats['pushed']} "
             f"pruned_closed={stats['pruned_closed']} "
-            f"pruned_dominated={stats['pruned_dominated']} "
             f"peak_frontier={stats['peak_frontier']} "
             f"wall={stats['wall_time_s'] * 1e3:.2f}ms"
         )
@@ -116,7 +114,7 @@ def _cmd_scheme(args) -> int:
 def _cmd_verify(args) -> int:
     code = make_code(args.family, args.disks)
     failures = 0
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         for disk in range(code.layout.n_disks):
             try:
                 scheme = scheme_for_disk(code, disk, algorithm=alg)
@@ -136,7 +134,7 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     code = make_code(args.family, args.disks)
     print(code.describe())
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         try:
             planner = RecoveryPlanner(code, algorithm=alg, depth=args.depth)
             schemes = planner.all_data_disk_schemes()
@@ -146,6 +144,15 @@ def _cmd_simulate(args) -> int:
         result = simulate_stack_recovery(code, schemes, stacks=args.stacks)
         print(f"  {alg:12s}: {result.speed_mb_s:7.1f} MB/s")
     return 0
+
+
+def _print_plans(plan_cache) -> None:
+    """The ``plans   :`` hit/miss line of a plan store."""
+    pc = plan_cache.stats()
+    line = f"plans   : {pc['hits']} cache hit(s), {pc['misses']} miss(es)"
+    if plan_cache.path is not None:
+        line += f", {pc['disk_entries']} on disk at {plan_cache.path}"
+    print(line)
 
 
 def _disk_range(args) -> range:
@@ -177,6 +184,7 @@ def _figure_cmd(args, which: int) -> int:
     if args.plot:
         print()
         print(ascii_plot(list(disk_range), series, y_label=metric))
+    _print_plans(cache.plans)
     return 0
 
 
@@ -194,7 +202,7 @@ def _cmd_stats(args) -> int:
 
     code = make_code(args.family, args.disks)
     schemes = {}
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         try:
             schemes[alg] = scheme_for_disk(code, args.failed_disk, algorithm=alg)
         except ValueError:
@@ -234,8 +242,6 @@ def _cmd_recover(args) -> int:
         return 2
     code = make_code(args.family, args.disks)
     scheme = scheme_for_disk(
-        code, args.failed_disk, algorithm=args.algorithm
-    ) if args.algorithm in ("naive", "conventional") else scheme_for_disk(
         code, args.failed_disk, algorithm=args.algorithm, depth=args.depth
     )
     rng = np.random.default_rng(args.seed)
@@ -247,7 +253,7 @@ def _cmd_recover(args) -> int:
         scheme,
         store,
         max_retries=args.max_retries,
-        algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
+        algorithm=args.algorithm,
         depth=args.depth,
     )
     print(code.describe())
@@ -444,11 +450,7 @@ def _cmd_rebuild(args) -> int:
     )
     print(f"reads   : {result.reads_per_disk.tolist()} per physical disk")
     if plan_cache is not None:
-        pc = plan_cache.stats()
-        print(
-            f"plans   : {pc['hits']} cache hit(s), {pc['misses']} miss(es), "
-            f"{pc['disk_entries']} on disk at {args.plan_cache}"
-        )
+        _print_plans(plan_cache)
     print("verify  : " + ("byte-exact" if ok else "MISMATCH"))
     return 0 if ok else 1
 
@@ -593,13 +595,9 @@ def _cmd_trace(args) -> int:
     )
     try:
         with obs.span("trace.pipeline"):
-            kwargs = (
-                {}
-                if args.algorithm in ("naive", "conventional")
-                else {"depth": args.depth}
-            )
             scheme = scheme_for_disk(
-                code, args.failed_disk, algorithm=args.algorithm, **kwargs
+                code, args.failed_disk, algorithm=args.algorithm,
+                depth=args.depth,
             )
             with obs.span("trace.verify"):
                 ok = verify_scheme_on_random_data(code, scheme, seed=0)
@@ -743,6 +741,7 @@ def _cmd_report(args) -> int:
         print(f"report written to {args.output}")
     else:
         print(text)
+    _print_plans(cache.plans)
     return 0
 
 
@@ -765,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scheme", help="show a recovery scheme")
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
 
     p = sub.add_parser("verify", help="byte-exact recovery round trip")
@@ -797,14 +796,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
     p.add_argument("--rows", default="0", help="comma-separated row indices")
-    p.add_argument("--algorithm", default="u", choices=["khan", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(COST_KEYS))
 
     p = sub.add_parser(
         "recover", help="fault-injected recovery with the resilient executor"
     )
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--stripes", type=int, default=4)
     p.add_argument("--element-size", type=int, default=64)
@@ -825,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0,
                    help="failed *physical* disk")
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--stripes", type=int, default=64)
     p.add_argument("--element-size", type=int, default=512)
@@ -859,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0,
                    help="failed *physical* disk")
-    p.add_argument("--algorithm", default="u", choices=["khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(COST_KEYS))
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--stripes", type=int, default=64)
     p.add_argument("--element-size", type=int, default=64)
@@ -903,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--stacks", type=int, default=4)
     p.add_argument("--out", default="trace.jsonl", help="JSONL output path")

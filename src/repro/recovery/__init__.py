@@ -30,7 +30,7 @@ from repro.recovery.khan import khan_scheme, khan_scheme_for_mask
 from repro.recovery.multifailure import recover_failure
 from repro.recovery.naive import naive_scheme, naive_scheme_for_mask
 from repro.recovery.plancache import SchemePlanCache, plan_key
-from repro.recovery.planner import RecoveryPlanner
+from repro.recovery.planner import ALGORITHMS, RecoveryPlanner, scheme_for_disk
 from repro.recovery.resilient import (
     ElementUnreadable,
     ResilientExecutor,
@@ -41,33 +41,13 @@ from repro.recovery.stats import SchemeStats, compare_stats, scheme_stats
 from repro.recovery.search import (
     SearchStats,
     conditional_cost,
+    cost_key,
     generate_scheme,
     khan_cost,
     unconditional_cost,
     weighted_cost,
 )
 from repro.recovery.ualgorithm import u_scheme, u_scheme_for_mask
-
-ALGORITHMS = {
-    "naive": naive_scheme,
-    "conventional": conventional_scheme,
-    "khan": khan_scheme,
-    "c": c_scheme,
-    "u": u_scheme,
-}
-
-
-def scheme_for_disk(code, failed_disk: int, algorithm: str = "u", **kwargs):
-    """Dispatch by algorithm name
-    (``naive``/``conventional``/``khan``/``c``/``u``)."""
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        ) from None
-    return fn(code, failed_disk, **kwargs)
-
 
 __all__ = [
     "ALGORITHMS",
@@ -94,6 +74,7 @@ __all__ = [
     "serve_degraded_read",
     "slice_degraded_plan",
     "conditional_cost",
+    "cost_key",
     "generate_scheme",
     "khan_cost",
     "khan_scheme",

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.codes.base import ErasureCode
-from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import conditional_cost, generate_scheme
+from repro.recovery.search import search_scheme_for_mask
 
 
 def c_scheme(
@@ -21,12 +20,10 @@ def c_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """C-Scheme for a single failed disk."""
     return c_scheme_for_mask(
-        code, code.layout.disk_mask(failed_disk), depth, max_expansions,
-        dominance_limit,
+        code, code.layout.disk_mask(failed_disk), depth, max_expansions
     )
 
 
@@ -35,16 +32,6 @@ def c_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """C-Scheme for an arbitrary failed-element set."""
-    rec_eqs = get_recovery_equations(
-        code, failed_mask, depth=depth, ensure_complete=True
-    )
-    return generate_scheme(
-        rec_eqs,
-        conditional_cost(code.layout),
-        algorithm="c",
-        max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
-    )
+    return search_scheme_for_mask(code, failed_mask, "c", depth, max_expansions)

@@ -69,7 +69,12 @@ def _solve_candidates(
     return scheme
 
 
-def conventional_scheme(code: ErasureCode, failed_disk: int) -> RecoveryScheme:
+def conventional_scheme(
+    code: ErasureCode,
+    failed_disk: int,
+    depth: int = 1,
+    max_expansions: Optional[int] = None,
+) -> RecoveryScheme:
     """The repair a production deployment of ``code`` would run.
 
     Resolution order:
@@ -79,6 +84,9 @@ def conventional_scheme(code: ErasureCode, failed_disk: int) -> RecoveryScheme:
     2. the paper's naive first-parity scheme,
     3. a generic eliminate-and-solve over all original equations (dense
        codes where no single original equation isolates an element).
+
+    ``depth`` and ``max_expansions`` are ignored, as for
+    :func:`~repro.recovery.naive.naive_scheme`.
     """
     return conventional_scheme_for_mask(
         code, code.layout.disk_mask(failed_disk), failed_disk=failed_disk

@@ -24,7 +24,7 @@ from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import generate_scheme, khan_cost, unconditional_cost
+from repro.recovery.search import cost_key, generate_scheme
 
 
 def degraded_read_scheme(
@@ -40,9 +40,11 @@ def degraded_read_scheme(
     The plan recovers exactly the requested elements; surviving elements of
     the same disk are read directly by the caller, and *other* rows of the
     failed disk are treated as surviving-but-unreadable (they never appear
-    in the read set).
+    in the read set).  ``algorithm`` names a search key (``"khan"``,
+    ``"c"`` or ``"u"``); any other name raises :class:`ValueError`.
     """
     lay = code.layout
+    cost = cost_key(algorithm, lay)
     rows = sorted(set(rows))
     if not rows:
         raise ValueError("no rows requested")
@@ -83,11 +85,12 @@ def degraded_read_scheme(
     rec_eqs.options = pruned_options
     rec_eqs.failed_mask = target_mask
 
-    cost = unconditional_cost(lay) if algorithm == "u" else khan_cost(lay)
-    scheme = generate_scheme(
-        rec_eqs, cost, algorithm=f"degraded_{algorithm}", max_expansions=max_expansions
+    return generate_scheme(
+        rec_eqs,
+        cost,
+        algorithm=f"degraded_{algorithm}",
+        max_expansions=max_expansions,
     )
-    return scheme
 
 
 def slice_degraded_plan(

@@ -26,12 +26,20 @@ from repro.equations.enumerate import (
     get_recovery_equations,
 )
 from repro.recovery.multifailure import UnrecoverableError
+from repro.recovery.planner import scheme_generator
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import (
-    generate_scheme,
-    khan_cost,
-    unconditional_cost,
-)
+from repro.recovery.search import COST_KEYS, cost_key, generate_scheme
+
+
+def escalation_algorithm(algorithm: str) -> str:
+    """The search key that continues a plan made by ``algorithm``.
+
+    A search algorithm (Khan, C, U) keeps its own key; a plan from a
+    non-search algorithm (naive, conventional) escalates with U.  An
+    unknown name raises :class:`ValueError`.
+    """
+    scheme_generator(algorithm)
+    return algorithm if algorithm in COST_KEYS else "u"
 
 
 def escalated_scheme(
@@ -54,12 +62,16 @@ def escalated_scheme(
         cost).
     secondary_disk:
         The newly failed disk.
+    algorithm:
+        Generator of the interrupted plan; the continuation searches with
+        :func:`escalation_algorithm`'s key and is labelled with it.
 
     Returns a scheme over the *entire* failed element set; slots whose
     element was already recovered carry the sentinel equation ``1 << eid``
     (recognisable by :func:`execute_escalated`).
     """
     lay = code.layout
+    algorithm = escalation_algorithm(algorithm)
     if primary_disk == secondary_disk:
         raise ValueError("primary and secondary disks must differ")
     recovered_rows = sorted(set(recovered_rows))
@@ -85,11 +97,12 @@ def escalated_scheme(
         if (free_mask >> f) & 1:
             rec.options[i] = [EquationOption(0, 1 << f)]
 
-    cost = unconditional_cost(lay) if algorithm == "u" else khan_cost(lay)
-    scheme = generate_scheme(
-        rec, cost, algorithm=f"escalated_{algorithm}", max_expansions=max_expansions
+    return generate_scheme(
+        rec,
+        cost_key(algorithm, lay),
+        algorithm=f"escalated_{algorithm}",
+        max_expansions=max_expansions,
     )
-    return scheme
 
 
 def execute_escalated(

@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.codes.base import ErasureCode
-from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import generate_scheme, khan_cost
+from repro.recovery.search import search_scheme_for_mask
 
 
 def khan_scheme(
@@ -24,12 +23,10 @@ def khan_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Minimal-total-read scheme for a single failed disk."""
-    failed_mask = code.layout.disk_mask(failed_disk)
     return khan_scheme_for_mask(
-        code, failed_mask, depth, max_expansions, dominance_limit
+        code, code.layout.disk_mask(failed_disk), depth, max_expansions
     )
 
 
@@ -38,16 +35,8 @@ def khan_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Minimal-total-read scheme for an arbitrary failed-element set."""
-    rec_eqs = get_recovery_equations(
-        code, failed_mask, depth=depth, ensure_complete=True
-    )
-    return generate_scheme(
-        rec_eqs,
-        khan_cost(code.layout),
-        algorithm="khan",
-        max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
+    return search_scheme_for_mask(
+        code, failed_mask, "khan", depth, max_expansions
     )

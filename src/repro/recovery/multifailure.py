@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import (
-    conditional_cost,
-    generate_scheme,
-    khan_cost,
-    unconditional_cost,
-    weighted_cost,
-)
+from repro.recovery.search import cost_key, generate_scheme
 
 
 class UnrecoverableError(ValueError):
@@ -48,9 +42,10 @@ def recover_failure(
     Parameters
     ----------
     algorithm:
-        ``"khan"``, ``"c"`` or ``"u"``.
+        ``"khan"``, ``"c"`` or ``"u"`` (see
+        :func:`~repro.recovery.search.cost_key`).
     weights:
-        Optional per-disk read costs; only meaningful for ``"u"``.
+        Optional per-disk read costs; only valid with ``"u"``.
     """
     if failed_mask == 0:
         raise ValueError("failed_mask is empty")
@@ -58,15 +53,7 @@ def recover_failure(
         raise UnrecoverableError(
             f"failure mask {failed_mask:#x} is not recoverable by {code.name}"
         )
-    lay = code.layout
-    if algorithm == "khan":
-        cost = khan_cost(lay)
-    elif algorithm == "c":
-        cost = conditional_cost(lay)
-    elif algorithm == "u":
-        cost = weighted_cost(lay, weights) if weights else unconditional_cost(lay)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    cost = cost_key(algorithm, code.layout, weights)
 
     for d in range(depth, max_depth + 1):
         rec_eqs = get_recovery_equations(code, failed_mask, depth=d)

@@ -9,14 +9,24 @@ every optimized scheme is measured against.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.codes.base import ErasureCode
 from repro.recovery.scheme import RecoveryScheme
 
 
-def naive_scheme(code: ErasureCode, failed_disk: int) -> RecoveryScheme:
-    """Depth-1 recovery from original equations, first parity group first."""
+def naive_scheme(
+    code: ErasureCode,
+    failed_disk: int,
+    depth: int = 1,
+    max_expansions: Optional[int] = None,
+) -> RecoveryScheme:
+    """Depth-1 recovery from original equations, first parity group first.
+
+    ``depth`` and ``max_expansions`` are ignored (nothing is searched); they
+    give every :data:`~repro.recovery.planner.ALGORITHMS` generator one
+    signature.
+    """
     return naive_scheme_for_mask(code, code.layout.disk_mask(failed_disk))
 
 

@@ -27,7 +27,12 @@ lock: ``os.replace`` guarantees they always see a complete store.
 
 Keys are content hashes, so a change to the code family, its geometry or
 its generator matrix changes the key and can never serve a stale plan;
-there is no invalidation protocol to get wrong.
+there is no invalidation protocol to get wrong.  The store is a trust
+boundary all the same: every hit passes
+:meth:`~repro.recovery.scheme.RecoveryScheme.validate_structure`, and a
+record that fails it (a flipped bit, a missing field) is counted on
+``plancache.corrupt_record``, warned about and treated as a miss, so the
+caller plans again and the next save replaces it.
 
 Hit/miss/store traffic is published on :mod:`repro.obs` counters
 (``plancache.hit`` / ``plancache.miss`` / ``plancache.store``,
@@ -114,7 +119,7 @@ def plan_key(
 
 
 def _scheme_record(scheme: RecoveryScheme) -> Dict[str, Any]:
-    """JSON-serialisable scheme payload (same shape as planner.save)."""
+    """JSON-serialisable scheme payload."""
     return {
         "failed_mask": scheme.failed_mask,
         "failed_eids": list(scheme.failed_eids),
@@ -127,20 +132,29 @@ def _scheme_record(scheme: RecoveryScheme) -> Dict[str, Any]:
     }
 
 
-def _scheme_from_record(raw: Dict[str, Any], code: ErasureCode) -> RecoveryScheme:
-    metadata = dict(raw.get("metadata", {}))
-    metadata["plan_cache"] = "hit"
-    return RecoveryScheme(
-        layout=code.layout,
-        failed_mask=raw["failed_mask"],
-        failed_eids=list(raw["failed_eids"]),
-        equations=list(raw["equations"]),
-        read_mask=raw["read_mask"],
-        algorithm=raw.get("algorithm", "unknown"),
-        exact=raw.get("exact", True),
-        expanded_states=raw.get("expanded_states", 0),
-        metadata=metadata,
-    )
+def _scheme_from_record(
+    raw: Dict[str, Any], code: ErasureCode
+) -> Optional[RecoveryScheme]:
+    """The scheme a record holds, or ``None`` when it fails the structural
+    checks (see the module docstring)."""
+    try:
+        metadata = dict(raw.get("metadata", {}))
+        metadata["plan_cache"] = "hit"
+        scheme = RecoveryScheme(
+            layout=code.layout,
+            failed_mask=raw["failed_mask"],
+            failed_eids=list(raw["failed_eids"]),
+            equations=list(raw["equations"]),
+            read_mask=raw["read_mask"],
+            algorithm=raw.get("algorithm", "unknown"),
+            exact=raw.get("exact", True),
+            expanded_states=raw.get("expanded_states", 0),
+            metadata=metadata,
+        )
+        scheme.validate_structure()
+    except (AssertionError, KeyError, TypeError, ValueError):
+        return None
+    return scheme
 
 
 class SchemePlanCache:
@@ -263,19 +277,29 @@ class SchemePlanCache:
         """The cached scheme for this situation, or ``None`` on a miss."""
         key = plan_key(code, failed_disk, algorithm, depth, max_expansions)
         record = self._mem.get(key)
+        scheme = None
         if record is not None:
             self._mem.move_to_end(key)
+            scheme = _scheme_from_record(record, code)
         elif key in self._disk:
-            record = self._disk[key]
-            obs.count("plancache.disk_hit")
-            self._remember(key, record)
-        if record is None:
+            scheme = _scheme_from_record(self._disk[key], code)
+            if scheme is None:
+                warnings.warn(
+                    f"ignoring corrupt plan record {key[:12]} in {self.path}",
+                    UserWarning,
+                    stacklevel=2,
+                )
+                obs.count("plancache.corrupt_record")
+            else:
+                obs.count("plancache.disk_hit")
+                self._remember(key, self._disk[key])
+        if scheme is None:
             self.misses += 1
             obs.count("plancache.miss")
             return None
         self.hits += 1
         obs.count("plancache.hit")
-        return _scheme_from_record(record, code)
+        return scheme
 
     def put(
         self,

@@ -3,16 +3,20 @@
 "The number of different single disk failure situations is equal to the
 number of disks, so we can find the recovery schemes for each single disk
 failure situation ahead of time and directly use them whenever they are
-needed."  :class:`RecoveryPlanner` is that cache, with JSON round-tripping so
-plans survive process restarts — the schemes are deterministic, so a reload
-is byte-identical to a regeneration.
+needed."  :class:`RecoveryPlanner` is that cache; backed by a
+:class:`~repro.recovery.plancache.SchemePlanCache` with a path, its plans
+survive process restarts — the schemes are deterministic, so a reload is
+byte-identical to a regeneration.
+
+:data:`ALGORITHMS` is the one table from an algorithm name to its
+generator; every planner, CLI choice and :func:`scheme_for_disk` call
+resolves names through it (the search generators' cost keys come from
+:func:`repro.recovery.search.cost_key`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.codes.base import ErasureCode
@@ -23,6 +27,39 @@ from repro.recovery.naive import naive_scheme
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.scheme import RecoveryScheme
 from repro.recovery.ualgorithm import u_scheme
+
+#: algorithm name -> ``generator(code, failed_disk, depth=, max_expansions=)``
+ALGORITHMS: Dict[str, Callable[..., RecoveryScheme]] = {
+    "naive": naive_scheme,
+    "conventional": conventional_scheme,
+    "khan": khan_scheme,
+    "c": c_scheme,
+    "u": u_scheme,
+}
+
+
+def scheme_generator(algorithm: str) -> Callable[..., RecoveryScheme]:
+    """The generator ``algorithm`` names; an unknown name raises
+    :class:`ValueError` listing the choices."""
+    try:
+        return ALGORITHMS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
+        ) from None
+
+
+def scheme_for_disk(
+    code: ErasureCode,
+    failed_disk: int,
+    algorithm: str = "u",
+    depth: int = 2,
+    max_expansions: Optional[int] = 2_000_000,
+) -> RecoveryScheme:
+    """One disk's scheme under the named algorithm (no caching)."""
+    return scheme_generator(algorithm)(
+        code, failed_disk, depth=depth, max_expansions=max_expansions
+    )
 
 
 class RecoveryPlanner:
@@ -36,8 +73,7 @@ class RecoveryPlanner:
         max_expansions: Optional[int] = 2_000_000,
         plan_cache: Optional[SchemePlanCache] = None,
     ) -> None:
-        if algorithm not in ("naive", "conventional", "khan", "c", "u"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        self._generator = scheme_generator(algorithm)
         self.code = code
         self.algorithm = algorithm
         self.depth = depth
@@ -66,25 +102,10 @@ class RecoveryPlanner:
             return cached
         with obs.span("planner.generate", disk=disk, algorithm=self.algorithm):
             obs.count("planner.schemes_generated")
-            if self.algorithm == "naive":
-                scheme = naive_scheme(self.code, disk)
-            elif self.algorithm == "conventional":
-                scheme = conventional_scheme(self.code, disk)
-            elif self.algorithm == "khan":
-                scheme = khan_scheme(
-                    self.code, disk, depth=self.depth,
-                    max_expansions=self.max_expansions,
-                )
-            elif self.algorithm == "c":
-                scheme = c_scheme(
-                    self.code, disk, depth=self.depth,
-                    max_expansions=self.max_expansions,
-                )
-            else:
-                scheme = u_scheme(
-                    self.code, disk, depth=self.depth,
-                    max_expansions=self.max_expansions,
-                )
+            scheme = self._generator(
+                self.code, disk, depth=self.depth,
+                max_expansions=self.max_expansions,
+            )
         if self.plan_cache is not None:
             self.plan_cache.put(
                 self.code, disk, self.algorithm, self.depth, scheme,
@@ -99,62 +120,3 @@ class RecoveryPlanner:
     def all_disk_schemes(self) -> List[RecoveryScheme]:
         """Schemes for every disk, parity included."""
         return [self.scheme_for_disk(d) for d in range(self.code.layout.n_disks)]
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> None:
-        """Serialise the cached schemes to JSON."""
-        payload = {
-            "code": self.code.describe(),
-            "algorithm": self.algorithm,
-            "depth": self.depth,
-            "schemes": {
-                str(disk): {
-                    "failed_mask": s.failed_mask,
-                    "failed_eids": s.failed_eids,
-                    "equations": s.equations,
-                    "read_mask": s.read_mask,
-                    "exact": s.exact,
-                    "expanded_states": s.expanded_states,
-                    "metadata": s.metadata,
-                }
-                for disk, s in self._cache.items()
-            },
-        }
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    def load(self, path: Union[str, Path]) -> int:
-        """Load previously saved schemes; returns how many were restored."""
-        payload = json.loads(Path(path).read_text())
-        if payload["algorithm"] != self.algorithm:
-            raise ValueError(
-                f"plan file is for algorithm {payload['algorithm']!r}, "
-                f"planner uses {self.algorithm!r}"
-            )
-        file_code = payload.get("code")
-        if file_code is not None and file_code != self.code.describe():
-            raise ValueError(
-                f"plan file is for code {file_code!r}, "
-                f"planner uses {self.code.describe()!r}"
-            )
-        file_depth = payload.get("depth")
-        if file_depth is not None and file_depth != self.depth:
-            raise ValueError(
-                f"plan file was generated at depth {file_depth}, "
-                f"planner uses depth {self.depth}"
-            )
-        for disk_str, raw in payload["schemes"].items():
-            scheme = RecoveryScheme(
-                layout=self.code.layout,
-                failed_mask=raw["failed_mask"],
-                failed_eids=list(raw["failed_eids"]),
-                equations=list(raw["equations"]),
-                read_mask=raw["read_mask"],
-                algorithm=self.algorithm,
-                exact=raw["exact"],
-                expanded_states=raw["expanded_states"],
-                metadata=raw.get("metadata", {}),
-            )
-            self._cache[int(disk_str)] = scheme
-        return len(payload["schemes"])

@@ -91,12 +91,25 @@ class RecoveryScheme:
     # ------------------------------------------------------------------
     def validate(self, code: ErasureCode) -> None:
         """Assert the plan is executable and internally consistent."""
+        self.validate_structure()
+        for f, eq in zip(self.failed_eids, self.equations):
+            if not self._in_equation_space(code, eq):
+                raise AssertionError(f"equation for {f} not a calculation equation")
+
+    def validate_structure(self) -> None:
+        """The bit checks of :meth:`validate`, cheap enough for every
+        plan-cache disk hit (no linear algebra): one equation per failed
+        element, each containing its own element and only earlier-recovered
+        failed elements, covering ``failed_mask``, with ``read_mask`` the
+        union of the equations minus ``failed_mask``."""
         if len(self.equations) != len(self.failed_eids):
             raise AssertionError("one equation per failed element required")
         recovered = 0
         union_reads = 0
         for f, eq in zip(self.failed_eids, self.equations):
             fbit = 1 << f
+            if recovered & fbit:
+                raise AssertionError(f"element {f} is recovered twice")
             if not eq & fbit:
                 raise AssertionError(f"equation for element {f} misses it")
             illegal = eq & self.failed_mask & ~(recovered | fbit)
@@ -104,8 +117,6 @@ class RecoveryScheme:
                 raise AssertionError(
                     f"equation for {f} uses unrecovered failed elements"
                 )
-            if not self._in_equation_space(code, eq):
-                raise AssertionError(f"equation for {f} not a calculation equation")
             union_reads |= eq & ~self.failed_mask
             recovered |= fbit
         if recovered != self.failed_mask:

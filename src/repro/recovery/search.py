@@ -43,12 +43,6 @@ Pruning (the paper keeps Khan's pruning and adds none):
 
 * *closed set* — a ``read_mask`` revisited at the same slot with a key no
   better is dropped;
-* *subset dominance* — a state whose read set is a superset of a
-  same-or-better state at the same slot can never win, because every
-  completion of the superset is matched by a no-worse completion of the
-  subset (costs are monotone in set inclusion).  The store is bucketed by
-  mask popcount: only masks with strictly fewer elements can be strict
-  subsets, so a membership probe skips every bucket that cannot dominate;
 * *state budget* — the problem is NP-hard (Sec. II-B); an optional budget
   bounds worst-case blowup.  When exhausted, the best frontier state is
   completed greedily and the scheme is flagged ``exact=False``.
@@ -63,14 +57,14 @@ over time; see docs/performance.md).
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.codes.base import ErasureCode
 from repro.codes.layout import CodeLayout
-from repro.equations.enumerate import RecoveryEquations
+from repro.equations.enumerate import RecoveryEquations, get_recovery_equations
 from repro.recovery import ckernel
 from repro.recovery.scheme import RecoveryScheme
 
@@ -297,6 +291,63 @@ def weighted_cost(layout: CodeLayout, weights: Sequence[float]) -> CostModel:
     return WeightedCost(layout, weights)
 
 
+#: algorithm name -> cost key, for the generators that search; only
+#: :func:`cost_key` turns a name into a key
+COST_KEYS: Dict[str, Callable[[CodeLayout], CostModel]] = {
+    "khan": khan_cost,
+    "c": conditional_cost,
+    "u": unconditional_cost,
+}
+
+
+def cost_key(
+    algorithm: str,
+    layout: CodeLayout,
+    weights: Optional[Sequence[float]] = None,
+) -> CostModel:
+    """The cost key the search algorithm ``algorithm`` minimises.
+
+    ``weights`` (one read cost per disk) selects the Sec. V-D weighted U
+    key.  An unknown name, or weights with a key other than U, raises
+    :class:`ValueError`.
+    """
+    if algorithm not in COST_KEYS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; "
+            f"choose from {sorted(COST_KEYS)}"
+        )
+    if weights is None:
+        return COST_KEYS[algorithm](layout)
+    if algorithm != "u":
+        raise ValueError(f"per-disk weights need the 'u' key, not {algorithm!r}")
+    return weighted_cost(layout, weights)
+
+
+def search_scheme_for_mask(
+    code: ErasureCode,
+    failed_mask: int,
+    algorithm: str,
+    depth: int = 2,
+    max_expansions: Optional[int] = 2_000_000,
+    weights: Optional[Sequence[float]] = None,
+) -> RecoveryScheme:
+    """Enumerate ``failed_mask``'s equations at ``depth`` and search them
+    under ``algorithm``'s cost key (the body of every Khan/C/U generator).
+
+    A weighted search is labelled ``<algorithm>_weighted``.
+    """
+    rec_eqs = get_recovery_equations(
+        code, failed_mask, depth=depth, ensure_complete=True
+    )
+    label = algorithm if weights is None else f"{algorithm}_weighted"
+    return generate_scheme(
+        rec_eqs,
+        cost_key(algorithm, code.layout, weights),
+        algorithm=label,
+        max_expansions=max_expansions,
+    )
+
+
 @dataclass
 class SearchStats:
     """Effort counters for Sec. V-B style running-time analysis.
@@ -309,8 +360,6 @@ class SearchStats:
     expanded: int = 0            #: states popped and expanded
     pushed: int = 0              #: successor states pushed on the frontier
     pruned_closed: int = 0       #: successors dropped by the closed set
-    pruned_dominated: int = 0    #: successors dropped by subset dominance
-    dominance_checks: int = 0    #: dominance-index probes (hit + miss)
     peak_frontier: int = 0       #: largest frontier (heap) size reached
     bucket_transitions: int = 0  #: frontier-key (rec_list bucket) advances;
                                  #: tracked only while tracing is enabled
@@ -328,7 +377,6 @@ class SearchStats:
         rec.count("search.expanded", self.expanded)
         rec.count("search.pushed", self.pushed)
         rec.count("search.pruned_closed", self.pruned_closed)
-        rec.count("search.pruned_dominated", self.pruned_dominated)
         rec.count("search.bucket_transitions", self.bucket_transitions)
         if self.budget_exhausted:
             rec.count("search.budget_exhausted")
@@ -341,54 +389,10 @@ class SearchStats:
         return (
             f"expanded={self.expanded} pushed={self.pushed} "
             f"pruned_closed={self.pruned_closed} "
-            f"pruned_dominated={self.pruned_dominated} "
             f"peak_frontier={self.peak_frontier} "
             f"wall={self.wall_time_s * 1e3:.2f}ms"
             + (" budget_exhausted" if self.budget_exhausted else "")
         )
-
-
-class _DominanceIndex:
-    """Per-slot Pareto store of (read_mask, key) for subset-dominance tests.
-
-    Entries are bucketed by mask popcount: a strict subset has strictly
-    fewer bits, so a probe for a mask with ``p`` bits only scans buckets
-    ``< p`` — the rest cannot dominate.  Within a bucket entries are kept
-    sorted by key and a scan stops at the first entry whose key exceeds the
-    query key, since only better-or-equal keys can dominate.
-    """
-
-    __slots__ = ("buckets", "size", "limit")
-
-    def __init__(self, limit: int) -> None:
-        #: popcount -> ([keys sorted asc], [masks in key order])
-        self.buckets: Dict[int, Tuple[List, List[int]]] = {}
-        self.size = 0
-        self.limit = limit
-
-    def dominated(self, mask: int, key, pc: int) -> bool:
-        for p, (keys, masks) in self.buckets.items():
-            if p >= pc:
-                continue
-            for i in range(len(keys)):
-                if keys[i] > key:
-                    break
-                m = masks[i]
-                if m & mask == m:
-                    return True
-        return False
-
-    def add(self, mask: int, key, pc: int) -> None:
-        if self.size >= self.limit:
-            return
-        bucket = self.buckets.get(pc)
-        if bucket is None:
-            bucket = self.buckets[pc] = ([], [])
-        keys, masks = bucket
-        i = bisect_right(keys, key)
-        keys.insert(i, key)
-        masks.insert(i, mask)
-        self.size += 1
 
 
 def _worth_ckernel(slot_opts: List[List[Tuple[int, int]]]) -> bool:
@@ -411,7 +415,6 @@ def generate_scheme(
     cost_fn: CostFn,
     algorithm: str,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Run the unified UCS and return the winning scheme.
 
@@ -426,12 +429,6 @@ def generate_scheme(
         Label recorded on the scheme.
     max_expansions:
         State budget; ``None`` for unlimited.
-    dominance_limit:
-        Per-slot cap on the subset-dominance store.  Defaults to 0
-        (disabled): for the array codes in this repository the closed-set
-        dedup already collapses the union lattice and dominance prunes no
-        additional states while costing a probe per push — see
-        ``benchmarks/bench_ablation_pruning.py``.
 
     With an :mod:`repro.obs` recorder enabled, the run is wrapped in a
     ``search.generate`` span, its :class:`SearchStats` accumulate into the
@@ -440,15 +437,11 @@ def generate_scheme(
     """
     recorder = obs.get_recorder()
     if recorder is None:
-        return _generate_scheme(
-            rec_eqs, cost_fn, algorithm, max_expansions, dominance_limit
-        )
+        return _generate_scheme(rec_eqs, cost_fn, algorithm, max_expansions)
     with recorder.span(
         "search.generate", algorithm=algorithm, n_failed=rec_eqs.n_failed
     ):
-        return _generate_scheme(
-            rec_eqs, cost_fn, algorithm, max_expansions, dominance_limit
-        )
+        return _generate_scheme(rec_eqs, cost_fn, algorithm, max_expansions)
 
 
 def _generate_scheme(
@@ -456,7 +449,6 @@ def _generate_scheme(
     cost_fn: CostFn,
     algorithm: str,
     max_expansions: Optional[int],
-    dominance_limit: int,
 ) -> RecoveryScheme:
     """The engine proper (see :func:`generate_scheme`)."""
     t_start = time.perf_counter()
@@ -481,17 +473,11 @@ def _generate_scheme(
         for opts in rec_eqs.options
     ]
 
-    # integer-key models with no dominance pruning run on the compiled
-    # kernel when one is available; it mirrors the loop below exactly and
+    # integer-key models run on the compiled kernel when one is available; it mirrors the loop below exactly and
     # returns the byte-identical scheme (see _ucs.c), so falling through
     # to the Python engine is always safe.
     ckind = _CKERNEL_KINDS.get(type(model))
-    if (
-        ckind is not None
-        and dominance_limit == 0
-        and n_slots > 0
-        and _worth_ckernel(slot_opts)
-    ):
+    if ckind is not None and n_slots > 0 and _worth_ckernel(slot_opts):
         lay = model.layout
         res = ckernel.run(
             slot_opts, lay.n_disks, lay.k_rows, ckind, max_expansions
@@ -533,20 +519,13 @@ def _generate_scheme(
     ]
     heap: List[Tuple] = [(init_key, 0)]
     closed: List[Dict[int, object]] = [dict() for _ in range(n_slots + 1)]
-    use_dominance = dominance_limit > 0
-    dominance = (
-        [_DominanceIndex(dominance_limit) for _ in range(n_slots + 1)]
-        if use_dominance
-        else None
-    )
 
     goal_id = -1
     frontier_sid = 0
     best_goal_key = None  # earliest-pushed goal at the smallest key
     best_goal_sid = -1
     budget_left = max_expansions if max_expansions is not None else float("inf")
-    expanded = pushed = pruned_closed = pruned_dominated = 0
-    dominance_checks = 0
+    expanded = pushed = pruned_closed = 0
     peak_frontier = 1
     bucket_transitions = 0
     last_popped_key = init_key
@@ -584,7 +563,6 @@ def _generate_scheme(
         new_slot = slot + 1
         is_goal_slot = new_slot == n_slots
         cl = closed[new_slot]
-        dom = dominance[new_slot] if use_dominance else None
         for rm, eq in slot_opts[slot]:
             add = rm & nmask
             if add:
@@ -600,13 +578,6 @@ def _generate_scheme(
             if seen is not None and seen <= new_key:
                 pruned_closed += 1
                 continue
-            if dom is not None:
-                pc = new_mask.bit_count()
-                dominance_checks += 1
-                if dom.dominated(new_mask, new_key, pc):
-                    pruned_dominated += 1
-                    continue
-                dom.add(new_mask, new_key, pc)
             cl[new_mask] = new_key
             states_append((new_slot, new_mask, sid, eq, new_state))
             heappush(heap, (new_key, n_states))
@@ -624,8 +595,6 @@ def _generate_scheme(
     stats.expanded = expanded
     stats.pushed = pushed
     stats.pruned_closed = pruned_closed
-    stats.pruned_dominated = pruned_dominated
-    stats.dominance_checks = dominance_checks
     stats.peak_frontier = peak_frontier
     stats.bucket_transitions = bucket_transitions
 

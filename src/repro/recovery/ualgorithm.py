@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.codes.base import ErasureCode
-from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import generate_scheme, unconditional_cost, weighted_cost
+from repro.recovery.search import search_scheme_for_mask
 
 
 def u_scheme(
@@ -23,12 +22,10 @@ def u_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """U-Scheme for a single failed disk."""
     return u_scheme_for_mask(
-        code, code.layout.disk_mask(failed_disk), depth, max_expansions,
-        dominance_limit=dominance_limit,
+        code, code.layout.disk_mask(failed_disk), depth, max_expansions
     )
 
 
@@ -37,7 +34,6 @@ def u_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
     weights: Optional[Sequence[float]] = None,
 ) -> RecoveryScheme:
     """U-Scheme for an arbitrary failed-element set.
@@ -46,16 +42,6 @@ def u_scheme_for_mask(
     Sec. V-D: the key becomes the maximal per-disk read *cost* (load times
     the disk's weight); uniform weights of 1 recover the plain U-Algorithm.
     """
-    rec_eqs = get_recovery_equations(
-        code, failed_mask, depth=depth, ensure_complete=True
-    )
-    if weights is None:
-        cost = unconditional_cost(code.layout)
-        label = "u"
-    else:
-        cost = weighted_cost(code.layout, weights)
-        label = "u_weighted"
-    return generate_scheme(
-        rec_eqs, cost, algorithm=label, max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
+    return search_scheme_for_mask(
+        code, failed_mask, "u", depth, max_expansions, weights
     )

@@ -340,11 +340,7 @@ class ShardServer:
                     plan,
                     _StripeView(self.fault_store, s),
                     max_retries=MAX_RETRIES,
-                    algorithm=(
-                        planner.algorithm
-                        if planner.algorithm in ("khan", "u")
-                        else "u"
-                    ),
+                    algorithm=planner.algorithm,
                     depth=max(planner.depth, 2),
                 )
                 done[s] = executor.run().recovered[0][eid]

@@ -36,7 +36,22 @@ class TestSchemeCache:
         c2 = SchemeCache(depth=1, cache_dir=tmp_path)
         second = c2.schemes("evenodd", 7, "khan")
         assert [s.read_mask for s in first] == [s.read_mask for s in second]
-        assert (tmp_path / "evenodd_7_khan_d1.json").exists()
+        assert (tmp_path / "plans.json").exists()
+        assert (c2.plans.hits, c2.plans.misses) == (len(first), 0)
+
+    def test_budget_is_part_of_the_key(self, tmp_path):
+        """Plans searched under a small budget are not served to a cache
+        with the default budget: rdp@10 U exhausts 200 expansions."""
+        budgeted = SchemeCache(depth=1, max_expansions=200, cache_dir=tmp_path)
+        assert not all(s.exact for s in budgeted.schemes("rdp", 10, "u"))
+        reloaded = SchemeCache(depth=1, cache_dir=tmp_path)
+        schemes = reloaded.schemes("rdp", 10, "u")
+        fresh = SchemeCache(depth=1).schemes("rdp", 10, "u")
+        assert all(s.exact for s in schemes)
+        assert [(s.equations, s.read_mask) for s in schemes] == [
+            (s.equations, s.read_mask) for s in fresh
+        ]
+        assert reloaded.plans.hits == 0
 
     def test_one_scheme_per_data_disk(self, cache):
         schemes = cache.schemes("rdp", 8, "c")

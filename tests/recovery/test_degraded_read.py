@@ -49,6 +49,22 @@ class TestPlanning:
         k = degraded_read_scheme(rdp7, 0, rows=[1], algorithm="khan")
         assert k.total_reads <= u.total_reads
 
+    def test_c_mode_runs_the_c_key(self, rdp7):
+        """Rows 0, 1, 2, 5 of disk 0: Khan's first minimal-total plan puts
+        4 reads on one disk, the C key balances the same total to 3."""
+        rows = [0, 1, 2, 5]
+        k = degraded_read_scheme(rdp7, 0, rows=rows, algorithm="khan")
+        c = degraded_read_scheme(rdp7, 0, rows=rows, algorithm="c")
+        assert c.algorithm == "degraded_c"
+        assert (k.total_reads, k.max_load) == (20, 4)
+        assert (c.total_reads, c.max_load) == (20, 3)
+        c.validate(rdp7)
+
+    @pytest.mark.parametrize("name", ["bogus", "naive"])
+    def test_unknown_algorithm_raises(self, rdp7, name):
+        with pytest.raises(ValueError, match="choose from"):
+            degraded_read_scheme(rdp7, 0, rows=[1], algorithm=name)
+
 
 class TestService:
     def test_served_bytes_exact(self, rdp7, stripe):

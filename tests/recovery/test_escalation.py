@@ -8,6 +8,8 @@ from repro.codes import RdpCode, StarCode
 from repro.recovery.escalation import escalated_scheme, execute_escalated
 from repro.recovery.multifailure import UnrecoverableError, recover_failure
 from repro.recovery.scheme import RecoveryScheme
+from repro.recovery.search import cost_key, generate_scheme
+from repro.equations import get_recovery_equations
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,27 @@ class TestPlanning:
         escalated = escalated_scheme(rdp7, 0, [], 3)
         assert escalated.max_load == plain.max_load
         assert escalated.total_reads == plain.total_reads
+
+    def test_algorithm_names_the_key(self, rdp7):
+        """Khan/C/U continue with their own key; naive and conventional
+        plans escalate with U; the label matches the key."""
+        lay = rdp7.layout
+        rec = get_recovery_equations(
+            rdp7, lay.disk_mask(0) | lay.disk_mask(3), depth=2,
+            ensure_complete=True,
+        )
+        for algorithm, key in (("khan", "khan"), ("c", "c"), ("u", "u"),
+                               ("naive", "u"), ("conventional", "u")):
+            scheme = escalated_scheme(rdp7, 0, [], 3, algorithm=algorithm)
+            assert scheme.algorithm == f"escalated_{key}"
+            cost = cost_key(key, lay)
+            assert cost(scheme.read_mask) == cost(
+                generate_scheme(rec, cost, key).read_mask
+            )
+
+    def test_unknown_algorithm_raises(self, rdp7):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            escalated_scheme(rdp7, 0, [], 3, algorithm="bogus")
 
     def test_validation(self, rdp7):
         with pytest.raises(ValueError, match="differ"):

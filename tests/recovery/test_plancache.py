@@ -123,6 +123,39 @@ class TestCorruptedStores:
         assert reloaded["version"] == 1
         assert len(reloaded["plans"]) == 1
 
+    def test_flipped_read_mask_bit_is_replanned(self, tmp_path):
+        """A store that parses but holds one flipped ``read_mask`` bit is
+        caught by the structural check: counted, missed, planned again and
+        rewritten with the good plan."""
+        code = make_code("rdp", 7)
+        store = tmp_path / "plans.json"
+        good = RecoveryPlanner(
+            code, algorithm="u", depth=1, plan_cache=SchemePlanCache(store)
+        ).scheme_for_disk(0)
+        payload = json.loads(store.read_text())
+        (record,) = payload["plans"].values()
+        record["read_mask"] ^= 1 << code.layout.eid(3, 0)
+        store.write_text(json.dumps(payload))
+
+        cache = SchemePlanCache(store)
+        rec = obs.enable(label="corrupt record")
+        try:
+            with pytest.warns(UserWarning, match="corrupt plan record"):
+                replanned = RecoveryPlanner(
+                    code, algorithm="u", depth=1, plan_cache=cache
+                ).scheme_for_disk(0)
+        finally:
+            obs.disable()
+        counters = {c.name: c.value for c in rec.counters.values()}
+        assert counters["plancache.corrupt_record"] == 1
+        assert counters["plancache.miss"] == 1
+        assert "plancache.disk_hit" not in counters
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+        assert replanned.read_mask == good.read_mask
+        assert replanned.equations == good.equations
+        (rewritten,) = json.loads(store.read_text())["plans"].values()
+        assert rewritten["read_mask"] == good.read_mask
+
     def test_missing_store_starts_cold_silently(self, tmp_path):
         cache = SchemePlanCache(tmp_path / "absent.json")
         assert cache.stats()["disk_entries"] == 0

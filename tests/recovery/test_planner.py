@@ -1,9 +1,11 @@
 """Tests for the scheme planner / cache."""
 
+import json
+
 import pytest
 
 from repro.codes import RdpCode
-from repro.recovery import RecoveryPlanner
+from repro.recovery import RecoveryPlanner, SchemePlanCache
 
 
 @pytest.fixture
@@ -34,85 +36,99 @@ class TestPlanner:
         with pytest.raises(ValueError):
             RecoveryPlanner(code, algorithm="bogus")
 
+    # Plans persist through one SchemePlanCache store; these check that a
+    # round trip is exact and that a different situation is a miss.
     def test_save_load_roundtrip(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="c")
-        original = planner.all_data_disk_schemes()
         path = tmp_path / "plans.json"
-        planner.save(path)
+        planner = RecoveryPlanner(
+            code, algorithm="c", plan_cache=SchemePlanCache(path)
+        )
+        original = planner.all_data_disk_schemes()
 
-        fresh = RecoveryPlanner(code, algorithm="c")
-        assert fresh.load(path) == len(original)
+        store = SchemePlanCache(path)
+        fresh = RecoveryPlanner(code, algorithm="c", plan_cache=store)
         for d in code.layout.data_disks:
             a, b = original[d], fresh.scheme_for_disk(d)
             assert a.read_mask == b.read_mask
             assert a.equations == b.equations
+            assert a.failed_eids == b.failed_eids
+            assert a.search_stats == b.search_stats
+        assert (store.hits, store.misses) == (code.layout.n_data, 0)
 
     def test_load_rejects_algorithm_mismatch(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="c")
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-        other = RecoveryPlanner(code, algorithm="u")
-        with pytest.raises(ValueError, match="algorithm"):
-            other.load(path)
+        _miss_after_planning(
+            tmp_path,
+            RecoveryPlanner(code, algorithm="c"),
+            RecoveryPlanner(code, algorithm="u"),
+        )
 
     def test_load_rejects_code_mismatch(self, code, tmp_path):
-        """A plan file saved for one code must not load into a planner for
-        a different geometry — the schemes would silently be wrong."""
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-
-        other_code = RdpCode(7)
-        other = RecoveryPlanner(other_code, algorithm="u")
-        with pytest.raises(ValueError) as exc:
-            other.load(path)
-        # the error names both geometries
-        assert code.describe() in str(exc.value)
-        assert other_code.describe() in str(exc.value)
+        """Plans for one geometry are never served to another."""
+        _miss_after_planning(
+            tmp_path,
+            RecoveryPlanner(code, algorithm="u"),
+            RecoveryPlanner(RdpCode(7), algorithm="u"),
+        )
 
     def test_load_rejects_different_family_same_width(self, tmp_path):
         from repro.codes import EvenOddCode
 
-        a = RecoveryPlanner(RdpCode(7), algorithm="u")
-        a.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        a.save(path)
-        b = RecoveryPlanner(EvenOddCode(7), algorithm="u")
-        with pytest.raises(ValueError, match="code"):
-            b.load(path)
+        _miss_after_planning(
+            tmp_path,
+            RecoveryPlanner(RdpCode(7), algorithm="u"),
+            RecoveryPlanner(EvenOddCode(7), algorithm="u"),
+        )
 
     def test_load_rejects_depth_mismatch(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="u", depth=1)
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-        other = RecoveryPlanner(code, algorithm="u", depth=2)
-        with pytest.raises(ValueError) as exc:
-            other.load(path)
-        assert "depth 1" in str(exc.value) and "depth 2" in str(exc.value)
+        _miss_after_planning(
+            tmp_path,
+            RecoveryPlanner(code, algorithm="u", depth=1),
+            RecoveryPlanner(code, algorithm="u", depth=2),
+        )
+
+    def test_load_rejects_budget_mismatch(self, code, tmp_path):
+        _miss_after_planning(
+            tmp_path,
+            RecoveryPlanner(code, algorithm="u", max_expansions=200),
+            RecoveryPlanner(code, algorithm="u"),
+        )
 
     def test_load_accepts_legacy_payload_without_geometry(self, code, tmp_path):
-        """Plan files from before the code/depth stamps still load."""
-        import json
-
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.scheme_for_disk(0)
+        """A record holding only the plan itself (no algorithm label, exact
+        flag, effort or metadata) still loads."""
         path = tmp_path / "plans.json"
-        planner.save(path)
+        RecoveryPlanner(
+            code, algorithm="u", plan_cache=SchemePlanCache(path)
+        ).scheme_for_disk(0)
         payload = json.loads(path.read_text())
-        del payload["code"], payload["depth"]
+        for record in payload["plans"].values():
+            for optional in ("algorithm", "exact", "expanded_states", "metadata"):
+                del record[optional]
         path.write_text(json.dumps(payload))
-        fresh = RecoveryPlanner(code, algorithm="u")
-        assert fresh.load(path) == 1
+        store = SchemePlanCache(path)
+        RecoveryPlanner(code, algorithm="u", plan_cache=store).scheme_for_disk(0)
+        assert (store.hits, store.misses) == (1, 0)
 
     def test_loaded_schemes_validate(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.all_data_disk_schemes()
         path = tmp_path / "plans.json"
-        planner.save(path)
-        fresh = RecoveryPlanner(code, algorithm="u")
-        fresh.load(path)
+        RecoveryPlanner(
+            code, algorithm="u", plan_cache=SchemePlanCache(path)
+        ).all_data_disk_schemes()
+        fresh = RecoveryPlanner(
+            code, algorithm="u", plan_cache=SchemePlanCache(path)
+        )
         for d in code.layout.data_disks:
-            fresh.scheme_for_disk(d).validate(code)
+            scheme = fresh.scheme_for_disk(d)
+            assert scheme.metadata["plan_cache"] == "hit"
+            scheme.validate(code)
+
+
+def _miss_after_planning(tmp_path, stored, other):
+    """``stored`` plans disk 0 into a store; ``other`` must miss on it."""
+    path = tmp_path / "plans.json"
+    stored.plan_cache = SchemePlanCache(path)
+    stored.scheme_for_disk(0)
+    store = SchemePlanCache(path)
+    other.plan_cache = store
+    other.scheme_for_disk(0)
+    assert (store.hits, store.misses) == (0, 1)

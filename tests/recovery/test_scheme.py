@@ -73,6 +73,42 @@ class TestValidation:
             s.validate(rdp7)
 
 
+class TestStructuralValidation:
+    """``validate_structure`` is ``validate`` minus the row-space check."""
+
+    def _tampered(self, rdp7, how):
+        s = khan_scheme(rdp7, 0)
+        lay = s.layout
+        if how == "count":
+            s.equations.pop()
+        elif how == "own_element":
+            s.equations[0] ^= 1 << s.failed_eids[0]
+        elif how == "later_failed":
+            s.equations[0] |= 1 << s.failed_eids[-1]
+        elif how == "coverage":
+            s.failed_mask |= 1 << lay.eid(1, 0)
+        elif how == "duplicate":
+            s.failed_eids[1] = s.failed_eids[0]
+            s.equations[1] = s.equations[0]
+        elif how == "read_mask":
+            s.read_mask ^= 1 << lay.eid(3, 0)
+        return s
+
+    def test_valid_scheme_passes(self, scheme):
+        scheme.validate_structure()
+
+    @pytest.mark.parametrize("how", [
+        "count", "own_element", "later_failed", "coverage", "duplicate",
+        "read_mask",
+    ])
+    def test_each_bit_check_fires(self, rdp7, how):
+        s = self._tampered(rdp7, how)
+        with pytest.raises(AssertionError):
+            s.validate_structure()
+        with pytest.raises(AssertionError):
+            s.validate(rdp7)
+
+
 class TestRendering:
     def test_render_shape(self, scheme):
         pic = scheme.render()

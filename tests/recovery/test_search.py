@@ -121,18 +121,6 @@ class TestEngine:
         )
         assert budgeted.total_reads <= exact.total_reads * 2
 
-    def test_dominance_pruning_preserves_optimality(self):
-        code = RdpCode(7)
-        rec = get_recovery_equations(code, code.layout.disk_mask(0), depth=1)
-        plain = generate_scheme(rec, conditional_cost(code.layout), "c")
-        pruned = generate_scheme(
-            rec, conditional_cost(code.layout), "c", dominance_limit=256
-        )
-        assert (plain.total_reads, plain.max_load) == (
-            pruned.total_reads,
-            pruned.max_load,
-        )
-
     def test_lexicographic_optimality_vs_bruteforce(self):
         """Exhaustively enumerate all option combinations on a small code and
         confirm UCS returns the lexicographic optimum for each cost."""
@@ -231,16 +219,20 @@ class TestSearchStatsMetadata:
         assert "expanded=10" in text and "pushed=20" in text
 
     def test_stats_serialise_with_plan(self, tmp_path):
-        from repro.recovery.planner import RecoveryPlanner
+        """search_stats survive a round trip through the plan store."""
+        from repro.recovery import RecoveryPlanner, SchemePlanCache
 
         code = RdpCode(5)
-        planner = RecoveryPlanner(code, "u", depth=1)
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plan.json"
-        planner.save(path)
-        fresh = RecoveryPlanner(code, "u", depth=1)
-        assert fresh.load(path) == 1
-        assert fresh.scheme_for_disk(0).search_stats is not None
+        path = tmp_path / "plans.json"
+        planned = RecoveryPlanner(
+            code, "u", depth=1, plan_cache=SchemePlanCache(path)
+        ).scheme_for_disk(0)
+        store = SchemePlanCache(path)
+        loaded = RecoveryPlanner(
+            code, "u", depth=1, plan_cache=store
+        ).scheme_for_disk(0)
+        assert store.hits == 1
+        assert loaded.search_stats == planned.search_stats
 
 
 class TestCompiledKernel:

@@ -75,6 +75,26 @@ class TestCommands:
         assert "degraded read of rows [1, 3]" in out
         assert "X" in out
 
+    def test_degraded_accepts_c(self, capsys):
+        assert main(["degraded", "--family", "rdp", "--disks", "7",
+                     "--failed-disk", "0", "--rows", "0,1,2,5",
+                     "--algorithm", "c"]) == 0
+        assert "degraded_c-scheme: total=16 max_load=3" in (
+            capsys.readouterr().out
+        )
+
+    def test_figure_replay_prints_plan_hits(self, capsys, tmp_path):
+        argv = ["figure4", "--family", "rdp", "--min-disks", "7",
+                "--max-disks", "8", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "plans   : 0 cache hit(s), 33 miss(es)" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "plans   : 33 cache hit(s), 0 miss(es)" in warm
+        # the tables are identical cold and warm
+        assert cold.split("plans")[0] == warm.split("plans")[0]
+
     def test_validate(self, capsys):
         assert main(["validate", "--family", "star", "--disks", "8"]) == 0
         out = capsys.readouterr().out
@@ -95,6 +115,30 @@ class TestCommands:
         assert "latent sector error" in out
         assert "ESCALATED at stripe 2" in out
         assert "recovered data byte-exact" in out
+
+    @pytest.mark.parametrize("algorithm, continuation", [
+        ("c", "escalated_c"), ("khan", "escalated_khan"),
+        ("naive", "escalated_u"),
+    ])
+    def test_recover_escalates_with_the_plan_key(
+        self, capsys, monkeypatch, algorithm, continuation
+    ):
+        from repro.recovery import resilient
+
+        labels = []
+
+        def spy(*args, **kwargs):
+            scheme = real(*args, **kwargs)
+            labels.append(scheme.algorithm)
+            return scheme
+
+        real = resilient.escalated_scheme
+        monkeypatch.setattr(resilient, "escalated_scheme", spy)
+        assert main(["recover", "--family", "rdp", "--disks", "7",
+                     "--failed-disk", "0", "--stripes", "3",
+                     "--algorithm", algorithm, "--inject", "die:4:2"]) == 0
+        assert "recovered data byte-exact" in capsys.readouterr().out
+        assert labels and set(labels) == {continuation}
 
     def test_recover_bad_spec_exits_2(self, capsys):
         assert main(["recover", "--family", "rdp", "--disks", "7",
