@@ -246,7 +246,14 @@ def _cmd_recover(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     codec = StripeCodec(code, args.element_size)
-    stripes = [codec.encode(codec.random_data(rng)) for _ in range(args.stripes)]
+    # drawn per stripe: one whole-batch draw gives other bytes for the same
+    # seed whenever a stripe's data is not a whole number of 4-byte words
+    data = [codec.random_data(rng) for _ in range(args.stripes)]
+    stripes = codec.encode_batch(
+        np.asarray(data, dtype=np.uint8).reshape(
+            len(data), codec.n_data_elements, args.element_size
+        )
+    )
     store = FaultyStripeStore(code.layout, stripes, plan)
     executor = ResilientExecutor(
         code,

@@ -6,7 +6,9 @@ paper's evaluation uses), so parity traffic — and recovery load — spreads
 over all spindles.  This module provides that layout at byte granularity:
 
 * :meth:`ArrayImageCodec.encode_image` turns a flat user buffer into
-  per-disk images (``n_disks x (n_stripes*k) x element_size`` bytes);
+  per-disk images (``n_disks x (n_stripes*k) x element_size`` bytes),
+  one :meth:`~repro.codec.encoder.StripeCodec.encode_batch` and one
+  vectorised rotation scatter per encode chunk;
 * :meth:`ArrayImageCodec.recover_disk` rebuilds a *physical* disk after
   failure, stripe by stripe, picking the right logical scheme per rotation
   — the byte-level realisation of the paper's experiment loop, and the
@@ -88,48 +90,50 @@ class ArrayImageCodec:
         rng = rng or np.random.default_rng()
         return rng.integers(0, 256, size=self.total_data_bytes, dtype=np.uint8)
 
+    def _rotation_index(self, start: int, stop: int):
+        """Index pair ``(physical disk, stripe)`` of shape ``(stop - start,
+        n_disks)`` placing logical role ``l`` of stripes ``start..stop-1``
+        in the per-disk images viewed as ``(n_disks, n_stripes, k, esz)``."""
+        n = self.code.layout.n_disks
+        stripe = np.arange(start, stop)[:, None]
+        return (np.arange(n)[None, :] + stripe) % n, stripe
+
+    def _by_stripe(self, disks: np.ndarray) -> np.ndarray:
+        """The per-disk images viewed as ``(n_disks, n_stripes, k, esz)``."""
+        lay = self.code.layout
+        return disks.reshape(
+            lay.n_disks, self.n_stripes, lay.k_rows, self.element_size
+        )
+
     def encode_image(self, data: np.ndarray) -> np.ndarray:
         """Encode a flat user buffer into per-disk images.
 
         Returns an array of shape ``(n_disks, n_stripes * k, element_size)``
         where row ``s*k + r`` of disk ``d`` is element row ``r`` of stripe
-        ``s`` on that physical disk.
+        ``s`` on that physical disk.  Works one encode chunk of stripes at
+        a time, so the only temporary is one chunk of encoded stripes.
         """
         if data.shape != (self.total_data_bytes,):
             raise ValueError(
                 f"data must be a flat buffer of {self.total_data_bytes} bytes"
             )
         lay = self.code.layout
-        disks = np.zeros(
-            (lay.n_disks, self.n_stripes * lay.k_rows, self.element_size),
-            dtype=np.uint8,
-        )
-        per_stripe = self.data_bytes_per_stripe
-        for s in range(self.n_stripes):
-            chunk = data[s * per_stripe : (s + 1) * per_stripe].reshape(
-                lay.n_data_elements, self.element_size
-            )
-            stripe = self.codec.encode(chunk)
-            for logical in range(lay.n_disks):
-                phys = self.physical_disk(logical, s)
-                for row in range(lay.k_rows):
-                    disks[phys, s * lay.k_rows + row] = stripe[lay.eid(logical, row)]
+        k, esz = lay.k_rows, self.element_size
+        per_stripe = data.reshape(self.n_stripes, lay.n_data_elements, esz)
+        disks = np.empty((lay.n_disks, self.n_stripes * k, esz), dtype=np.uint8)
+        by_stripe = self._by_stripe(disks)
+        step = self.codec.chunk_stripes
+        for a in range(0, self.n_stripes, step):
+            stripes = self.codec.encode_batch(per_stripe[a : a + step])
+            phys, stripe = self._rotation_index(a, a + len(stripes))
+            by_stripe[phys, stripe] = stripes.reshape(-1, lay.n_disks, k, esz)
         return disks
 
     def decode_image(self, disks: np.ndarray) -> np.ndarray:
         """Read the user data back out of the per-disk images."""
-        lay = self.code.layout
-        out = np.empty(self.total_data_bytes, dtype=np.uint8)
-        per_stripe = self.data_bytes_per_stripe
-        for s in range(self.n_stripes):
-            view = out[s * per_stripe : (s + 1) * per_stripe].reshape(
-                lay.n_data_elements, self.element_size
-            )
-            for logical in range(lay.n_data):
-                phys = self.physical_disk(logical, s)
-                for row in range(lay.k_rows):
-                    view[lay.eid(logical, row)] = disks[phys, s * lay.k_rows + row]
-        return out
+        phys, stripe = self._rotation_index(0, self.n_stripes)
+        data_roles = phys[:, : self.code.layout.n_data]
+        return self._by_stripe(disks)[data_roles, stripe].reshape(-1)
 
     # ------------------------------------------------------------------
     def _logical_stripe(self, disks: np.ndarray, s: int) -> np.ndarray:

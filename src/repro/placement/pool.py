@@ -8,18 +8,21 @@ logical elements, with :class:`~repro.placement.map.PlacementMap` deciding
 which pool disk *serves* each element.  Reads are billed to pool disks
 through that map — the accounting the declustering benchmarks score.
 
-Encoding is batched: one ``np.bitwise_xor.reduce`` per parity element
-across *all* stripes at once (the per-stripe
-:class:`~repro.codec.encoder.StripeCodec` loop would dominate wall time at
-10^4-10^6 stripes).
+The store is one materialised ndarray, allocated once.
+:meth:`PoolStore.encode_random` draws each chunk's data straight into its
+data rows, then :meth:`~repro.codec.encoder.StripeCodec.encode_into`
+writes the parity rows in place through the same ``xor_batch`` kernel the
+rebuild uses, so memory is the store plus one chunk.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
 
+from repro import obs
 from repro.codec.encoder import StripeCodec
 from repro.codes.base import ErasureCode
 from repro.placement.map import PlacementMap
@@ -36,8 +39,8 @@ class PoolStore:
     placement:
         The stripe->disk map over the pool.
     element_size:
-        Bytes per element (keep small: the store materialises every
-        stripe).
+        Bytes per element.  The store holds every stripe in memory
+        (:attr:`stored_bytes`), plus one encode chunk while it is filled.
     """
 
     def __init__(
@@ -69,15 +72,33 @@ class PoolStore:
         return self.n_stripes * lay.n_elements * self.element_size
 
     def encode_random(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Fill the store with encoded random data (batched across stripes)."""
+        """Fill the store with encoded random data.
+
+        Each chunk's data is drawn straight into its data rows; then the
+        parity is encoded in place.  The bytes equal those of
+        ``codec.encode_batch(rng.integers(0, 256, size=(n_stripes,
+        n_data, element_size), dtype=np.uint8))`` for the same generator
+        state: a full-range ``uint32`` draw is the same little-endian byte
+        stream, and every chunk but the last draws whole words.
+        """
         rng = rng or np.random.default_rng()
-        data = rng.integers(
-            0,
-            256,
-            size=(self.n_stripes, self.codec.n_data_elements, self.element_size),
-            dtype=np.uint8,
+        codec = self.codec
+        n_data, esz = codec.n_data_elements, self.element_size
+        stripes = np.empty(
+            (self.n_stripes, self.code.layout.n_elements, esz), dtype=np.uint8
         )
-        self.stripes = self.codec.encode_batch(data)
+        with obs.span("codec.datagen", stripes=self.n_stripes):
+            for a in range(0, self.n_stripes, codec.chunk_stripes):
+                block = stripes[a : a + codec.chunk_stripes]
+                n_bytes = len(block) * n_data * esz
+                words = rng.integers(
+                    0, 1 << 32, size=-(-n_bytes // 4), dtype=np.uint32
+                )
+                if sys.byteorder == "big":
+                    words.byteswap(inplace=True)
+                data = words.view(np.uint8)[:n_bytes]
+                codec.place_data(block, data.reshape(len(block), n_data, esz))
+        self.stripes = codec.encode_into(stripes)
         return self.stripes
 
     # ------------------------------------------------------------------

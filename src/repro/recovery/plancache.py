@@ -88,6 +88,18 @@ def _store_lock(path: Path) -> Iterator[None]:
             os.close(fd)
 
 
+def _new_file_mode() -> int:
+    """The mode ``open()`` gives a new file: ``0o666`` less the umask.
+
+    ``mkstemp`` creates its file 0600, so a store written through it is
+    chmodded to this before the replace; otherwise every rewrite would
+    hide the store from other users' processes.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def plan_key(
     code: ErasureCode,
     failed_disk: int,
@@ -251,6 +263,7 @@ class SchemePlanCache:
             try:
                 with os.fdopen(fd, "w") as fh:
                     json.dump(payload, fh)
+                os.chmod(tmp, _new_file_mode())
                 os.replace(tmp, self.path)
             except OSError:
                 try:

@@ -1,6 +1,8 @@
 """SchemePlanCache: hit equivalence, key invalidation, corruption handling."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -247,3 +249,17 @@ class TestConcurrentWriters:
         cache.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))
         assert (tmp_path / "plans.json.lock").exists()
         assert SchemePlanCache(store).get(code, 0, "u", 1) is not None
+
+    def test_saved_store_is_readable_by_others(self, tmp_path):
+        """``mkstemp`` files are 0600; a rewrite must leave the store at
+        the mode a plain ``open()`` would give it under the umask."""
+        code = make_code("rdp", 7)
+        store = tmp_path / "plans.json"
+        old = os.umask(0o022)
+        try:
+            cache = SchemePlanCache(store)
+            cache.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))
+            cache.put(code, 1, "u", 1, u_scheme(code, 1, depth=1))  # rewrite
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(store.stat().st_mode) == 0o644
